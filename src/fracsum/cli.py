@@ -22,10 +22,17 @@ import sys
 import time
 from dataclasses import replace
 
-from .core import SummationConfig, frac_power, power_fn, sum_log, fractional_sum_limit
+from .core import (
+    SCHEDULE_LEN,
+    SummationConfig,
+    frac_power,
+    fractional_sum_limit,
+    power_fn,
+    sum_log,
+)
 from .errors import ConvergenceError, DomainError, FracsumError
 from .operators import OperatorConfig
-from .specfun import SpecFunConfig, hurwitz_zeta_with_error
+from .specfun import TARGET_ABS_TOL, SpecFunConfig, hurwitz_zeta_with_error
 from .spectrum import (
     eigen_residual,
     find_critical_zeros,
@@ -139,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="explicit terms before the Euler-Maclaurin tail "
                              "(default: 50)")
     common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="worker cap for scans and zero searches (default: 1)")
+                        help="accepted for compatibility; has no effect")
 
     p = argparse.ArgumentParser(
         prog="fracsum",
@@ -202,10 +209,9 @@ def _configs(args):
     n0 = _opt(args, "n0", "N0", int, 64)
     diff_step = _opt(args, "diff_step", "DIFF_STEP", float, 1e-4)
     em_terms = _opt(args, "em_terms", "EM_TERMS", int, 50)
-    base = SummationConfig()
     sum_cfg = SummationConfig(
         n0=n0, abs_tol=abs_tol, strict=strict,
-        max_n=max(base.max_n, n0 * 2 ** (base.schedule_len - 1)),
+        max_n=max(SummationConfig.max_n, n0 * 2 ** (SCHEDULE_LEN - 1)),
     )
     op_cfg = OperatorConfig(diff_step=diff_step, sum_cfg=sum_cfg)
     spec_cfg = SpecFunConfig(em_terms=em_terms)
@@ -252,7 +258,7 @@ def _cmd_eval(args, cfgs, diagnostics):
     inputs = {"expr": args.expr, "x": x}
     if args.expr == "sumlog":
         value = complex(sum_log(x, spec_cfg))
-        results = {"value": value, "err_estimate": spec_cfg.target_abs_tol,
+        results = {"value": value, "err_estimate": TARGET_ABS_TOL,
                    "method": "log_gamma"}
         return inputs, results, EXIT_OK
     if args.s is None:
@@ -262,13 +268,16 @@ def _cmd_eval(args, cfgs, diagnostics):
     if args.expr == "fracpow":
         value = complex(frac_power(x, s, spec_cfg))
         if abs(s - 1.0) < 1e-8:
-            err = spec_cfg.target_abs_tol
+            err = TARGET_ABS_TOL
         else:
             err = (hurwitz_zeta_with_error(s, 1.0, spec_cfg)[1]
                    + hurwitz_zeta_with_error(s, x + 1.0, spec_cfg)[1])
         results = {"value": value, "err_estimate": err, "method": "closed_form"}
         return inputs, results, EXIT_OK
-    # sigma: the raw limit, for direct comparison against fracpow
+    # sigma: the raw limit, for direct comparison against fracpow; v^(-s) is
+    # asymptotically flat only for Re(s) > -1, the domain of fracpow too
+    if s.real <= -1.0:
+        raise DomainError(f"eval sigma requires Re(s) > -1, got {s}")
     res = fractional_sum_limit(power_fn(s), x, sum_cfg)
     results = {
         "value": res.value,
@@ -304,8 +313,7 @@ def _cmd_verify(args, cfgs, diagnostics):
 
 def _cmd_zeros(args, cfgs, diagnostics):
     _, op_cfg, spec_cfg = cfgs
-    jobs = max(1, getattr(args, "jobs", 1))
-    zeros = find_critical_zeros(args.t_min, args.t_max, spec_cfg, jobs=jobs)
+    zeros = find_critical_zeros(args.t_min, args.t_max, spec_cfg)
     rows = []
     for z in zeros:
         rep = eigen_residual(0.5 + 1j * z.t, op_cfg, spec_cfg,
@@ -337,9 +345,8 @@ def _cmd_zeros(args, cfgs, diagnostics):
 
 def _cmd_scan(args, cfgs, diagnostics):
     _, _, spec_cfg = cfgs
-    jobs = max(1, getattr(args, "jobs", 1))
     cells = scan_s_plane((args.re0, args.re1), (args.im0, args.im1),
-                         args.n_re, args.n_im, spec_cfg, jobs=jobs)
+                         args.n_re, args.n_im, spec_cfg)
     rows = [{
         "s_re": c.s.real, "s_im": c.s.imag, "abs_zeta": c.abs_zeta,
         "analytic_residual": c.analytic_residual,

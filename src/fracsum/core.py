@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -193,40 +193,38 @@ def half_difference(f: EvalFn) -> EvalFn:
     return EvalFn(f.domain_lo + 0.5, ev, dv, label=f"HalfDelta[{f.label}]")
 
 
+#: number of points on the base index schedule
+SCHEDULE_LEN = 6
+
+
 @dataclass(frozen=True)
 class SummationConfig:
     """Controls the limit engine.
 
-    The index schedule is geometric: n0, 2 n0, ..., n0 2^(schedule_len - 1),
-    extended by further doublings up to max_n while unconverged.  With
-    ``acceleration = "richardson_power_law"`` the last three partial values
-    are fitted to S + C n^(-alpha) and the extrapolant returned; convergence
-    means the last two extrapolants agree within abs_tol.  ``strict`` turns
-    a failed convergence into a ConvergenceError instead of a diagnostic.
+    The index schedule is geometric: n0, 2 n0, ..., n0 2^(SCHEDULE_LEN - 1),
+    extended by further doublings up to max_n while unconverged.  The last
+    three partial values are fitted to S + C n^(-alpha) and the extrapolant
+    returned; convergence means the last two extrapolants agree within
+    abs_tol.  ``strict`` turns a failed convergence into a ConvergenceError
+    instead of a diagnostic.
     """
 
     n0: int = 64
-    schedule_len: int = 6
     abs_tol: float = 1e-8
-    acceleration: str = "richardson_power_law"
     max_n: int = 131072
     strict: bool = False
 
     def __post_init__(self) -> None:
         if self.n0 < 16:
             raise OutOfRangeError(f"n0 must be >= 16, got {self.n0}")
-        if self.schedule_len < 4:
-            raise OutOfRangeError(f"schedule_len must be >= 4, got {self.schedule_len}")
         if not self.abs_tol > 0:
             raise OutOfRangeError("abs_tol must be positive")
-        if self.acceleration not in ("none", "richardson_power_law"):
-            raise OutOfRangeError(f"unknown acceleration {self.acceleration!r}")
-        if self.max_n < self.n0 * 2 ** (self.schedule_len - 1):
+        if self.max_n < self.n0 * 2 ** (SCHEDULE_LEN - 1):
             raise OutOfRangeError("max_n must cover the base schedule "
-                                  f"(>= {self.n0 * 2 ** (self.schedule_len - 1)})")
+                                  f"(>= {self.n0 * 2 ** (SCHEDULE_LEN - 1)})")
 
     def schedule(self) -> list[int]:
-        return [self.n0 * 2 ** k for k in range(self.schedule_len)]
+        return [self.n0 * 2 ** k for k in range(SCHEDULE_LEN)]
 
 
 DEFAULT_SUMMATION = SummationConfig()
@@ -337,9 +335,9 @@ def fractional_sum_limit(f: EvalFn, x: float,
 
     Integer x >= 0 returns the exact finite sum directly (empty sum = 0).
     Otherwise S_n(x) = x f(n) + sum_{v=1}^n (f(v) - f(v+x)) is accumulated
-    along the geometric schedule, extrapolated per the config, and extended
-    by doubling up to cfg.max_n while the last two extrapolants disagree by
-    more than abs_tol.
+    along the geometric schedule, extrapolated by the power-law fit, and
+    extended by doubling up to cfg.max_n while the last two extrapolants
+    disagree by more than abs_tol.
     """
     x = float(x)
     if x <= -1.0:
@@ -352,7 +350,6 @@ def fractional_sum_limit(f: EvalFn, x: float,
         value = complex(np.sum(f(np.arange(1.0, m + 0.5)))) if m >= 1 else 0.0 + 0.0j
         return FracSumResult(value, 0.0, m, True, math.nan)
 
-    accelerate = cfg.acceleration == "richardson_power_law"
     partials: list[complex] = []
     estimates: list[complex] = []
     exponent = math.nan
@@ -367,12 +364,10 @@ def fractional_sum_limit(f: EvalFn, x: float,
         prev_n = n
         if len(partials) >= 3:
             est, exponent = _extrapolate(partials)
-            if not accelerate:
-                est = partials[-1]
             estimates.append(est)
             if len(estimates) >= 2:
                 err = abs(estimates[-1] - estimates[-2])
-        scheduled = len(partials) >= cfg.schedule_len
+        scheduled = len(partials) >= SCHEDULE_LEN
         converged = err <= cfg.abs_tol
         if (scheduled and converged) or 2 * n > cfg.max_n:
             break

@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import (
     NOT_FLAT,
+    SCHEDULE_LEN,
     EvalFn,
     SummationConfig,
     flatness_probe,
@@ -44,7 +45,6 @@ class OperatorConfig:
     """Differentiation step, summation config, and the default sample grid."""
 
     diff_step: float = 1e-4
-    diff_richardson: bool = True
     sum_cfg: SummationConfig = field(default_factory=SummationConfig)
     sample_grid: tuple[float, ...] = (-0.9, -0.5, -0.1, 0.25, 0.5, 1.0, 1.5, 2.5, 5.0, 10.0)
 
@@ -77,8 +77,8 @@ def apply_x_mult(f: EvalFn) -> EvalFn:
 def apply_p(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
     """p f = -i f'; analytic derivative when present, else finite differences.
 
-    Numeric path: central stencil of step cfg.diff_step, optionally
-    Richardson-improved; within 2h of the left boundary a second-order
+    Numeric path: central stencil of step cfg.diff_step, Richardson-improved
+    with the half step; within 2h of the left boundary a second-order
     one-sided stencil is used so no evaluation leaves the domain.
     """
     if f.analytic_derivative is not None:
@@ -94,9 +94,7 @@ def apply_p(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
         return (-3.0 * f.eval(xs) + 4.0 * f.eval(xs + step) - f.eval(xs + 2.0 * step)) / (2.0 * step)
 
     def diff(xs, stencil):
-        if cfg.diff_richardson:
-            return (4.0 * stencil(xs, h / 2.0) - stencil(xs, h)) / 3.0
-        return stencil(xs, h)
+        return (4.0 * stencil(xs, h / 2.0) - stencil(xs, h)) / 3.0
 
     def ev(x):
         arr = np.asarray(x, dtype=float)
@@ -167,7 +165,7 @@ def apply_R(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
     term_xp = apply_X(apply_p(f, cfg), cfg)
     sum_cfg = cfg.sum_cfg
     capped = max(min(sum_cfg.max_n, _P_SUM_MAX_N),
-                 sum_cfg.n0 * 2 ** (sum_cfg.schedule_len - 1))
+                 sum_cfg.n0 * 2 ** (SCHEDULE_LEN - 1))
     tight = replace(cfg, sum_cfg=replace(sum_cfg,
                                          abs_tol=min(sum_cfg.abs_tol, _P_SUM_TOL),
                                          max_n=capped, strict=False))

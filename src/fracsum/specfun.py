@@ -38,35 +38,29 @@ _BERNOULLI_MAX = 64
 _TWO_PI = 2.0 * math.pi
 
 
+#: highest Bernoulli index 2M used in the Euler-Maclaurin tail
+EM_BERNOULLI_ORDER = 24
+#: absolute accuracy the Euler-Maclaurin tail estimate must reach
+TARGET_ABS_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class SpecFunConfig:
-    """Tuning knobs for the Euler-Maclaurin evaluations.
+    """Tuning knob for the Euler-Maclaurin evaluations.
 
-    em_terms            number of explicit terms summed before the tail
-    em_bernoulli_order  highest Bernoulli index 2M used in the tail
-    target_abs_tol      absolute accuracy the tail estimate must reach
+    em_terms  number of explicit terms summed before the tail
 
-    The defaults keep the first omitted Bernoulli term below 1e-12 for
-    |Im(s)| <= 100, which covers the first ~30 critical-line zeros.
+    The Bernoulli order EM_BERNOULLI_ORDER and the target TARGET_ABS_TOL are
+    fixed; with the default em_terms the first omitted Bernoulli term stays
+    below 1e-12 for |Im(s)| <= 100, which covers the first ~30 critical-line
+    zeros.
     """
 
     em_terms: int = 50
-    em_bernoulli_order: int = 24
-    target_abs_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.em_terms < 10:
             raise OutOfRangeError(f"em_terms must be >= 10, got {self.em_terms}")
-        if self.em_bernoulli_order < 2 or self.em_bernoulli_order % 2 != 0:
-            raise OutOfRangeError(
-                f"em_bernoulli_order must be even and >= 2, got {self.em_bernoulli_order}"
-            )
-        if self.em_bernoulli_order + 2 > _BERNOULLI_MAX:
-            raise OutOfRangeError(
-                f"em_bernoulli_order must be <= {_BERNOULLI_MAX - 2}"
-            )
-        if not self.target_abs_tol > 0:
-            raise OutOfRangeError("target_abs_tol must be positive")
 
 
 DEFAULT_SPECFUN = SpecFunConfig()
@@ -134,17 +128,17 @@ def hurwitz_zeta_with_error(s: complex, a, cfg: SpecFunConfig = DEFAULT_SPECFUN)
     s = complex(s)
     if s == 1:
         raise PoleError("hurwitz zeta has a pole at s = 1")
-    if s.real <= -2.0 * cfg.em_bernoulli_order:
+    if s.real <= -2.0 * EM_BERNOULLI_ORDER:
         raise DomainError(
             f"Re(s) = {s.real} is below the Euler-Maclaurin validity range "
-            f"Re(s) > {-2.0 * cfg.em_bernoulli_order}"
+            f"Re(s) > {-2.0 * EM_BERNOULLI_ORDER}"
         )
     arr, scalar = _as_positive_array(a, "a")
     if not _bernoulli_table:
         _bernoulli_init()
 
     n_terms = cfg.em_terms
-    order = cfg.em_bernoulli_order // 2
+    order = EM_BERNOULLI_ORDER // 2
 
     # Explicit part: sum_{k=0}^{N-1} (k+a)^(-s).  Bases are positive reals,
     # so exp(-s log(.)) with the real log has no branch ambiguity.
@@ -176,10 +170,10 @@ def hurwitz_zeta_with_error(s: complex, a, cfg: SpecFunConfig = DEFAULT_SPECFUN)
         (abs(_bernoulli_table[2 * order + 2] / fact_next) * abs(poch_next) * kappa)
         * np.exp((-s.real - 2 * order - 1) * logw).max()
     )
-    if truncation > cfg.target_abs_tol:
+    if truncation > TARGET_ABS_TOL:
         raise ConvergenceError(
             f"Euler-Maclaurin tail estimate {truncation:.3e} exceeds target "
-            f"{cfg.target_abs_tol:.3e} for s={s}; raise em_terms or the order"
+            f"{TARGET_ABS_TOL:.3e} for s={s}; raise em_terms or the order"
         )
     # Rounding floor: each power carries a phase error ~ eps |s| log(base)
     # scaled by the largest term magnitude.  Unlike the truncation this is
@@ -202,8 +196,8 @@ def hurwitz_zeta_with_error(s: complex, a, cfg: SpecFunConfig = DEFAULT_SPECFUN)
 def hurwitz_zeta(s: complex, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     """Hurwitz zeta function zeta(s, a) = sum_{k>=0} (k+a)^(-s), continued.
 
-    Valid for a > 0, s != 1, Re(s) > -2 * em_bernoulli_order; absolute error
-    <= cfg.target_abs_tol for |Im(s)| <= 100 with default settings.
+    Valid for a > 0, s != 1, Re(s) > -2 * EM_BERNOULLI_ORDER; absolute error
+    <= TARGET_ABS_TOL for |Im(s)| <= 100 with default settings.
     """
     return hurwitz_zeta_with_error(s, a, cfg)[0]
 

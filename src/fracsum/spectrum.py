@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -161,8 +160,7 @@ def _bisect_zero(za: float, a: float, b: float, cfg: SpecFunConfig,
 
 def find_critical_zeros(t_min: float, t_max: float,
                         cfg: SpecFunConfig = DEFAULT_SPECFUN,
-                        grid_step: float = _GRID_STEP,
-                        jobs: int = 1) -> list[ZetaZero]:
+                        grid_step: float = _GRID_STEP) -> list[ZetaZero]:
     """All zeros of zeta(1/2 + it) with t in (t_min, t_max), by Hardy Z.
 
     Samples Z on a grid of the given step, brackets every sign change, and
@@ -184,29 +182,18 @@ def find_critical_zeros(t_min: float, t_max: float,
         ts = np.append(ts, t_max)
     zvals = [hardy_z(float(t), cfg) for t in ts]
 
-    brackets = []
-    for i in range(len(ts) - 1):
-        if zvals[i] == 0.0:  # grid point exactly on a zero
-            brackets.append((zvals[i], float(ts[i]), float(ts[i])))
-        elif zvals[i] * zvals[i + 1] < 0.0:
-            brackets.append((zvals[i], float(ts[i]), float(ts[i + 1])))
-
-    def refine(br):
-        za, a, b = br
-        if a == b:
-            return a, (a, b)
-        return _bisect_zero(za, a, b, cfg, _BISECT_WIDTH)
-
-    if jobs > 1 and len(brackets) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            refined = list(pool.map(refine, brackets))
-    else:
-        refined = [refine(br) for br in brackets]
-
     zeros = []
-    for k, (t, bracket) in enumerate(refined, start=1):
+    for i in range(len(ts) - 1):
+        a, b = float(ts[i]), float(ts[i + 1])
+        if zvals[i] == 0.0:  # grid point exactly on a zero
+            t, bracket = a, (a, a)
+        elif zvals[i] * zvals[i + 1] < 0.0:
+            t, bracket = _bisect_zero(zvals[i], a, b, cfg, _BISECT_WIDTH)
+        else:
+            continue
         residual = abs(riemann_zeta(0.5 + 1j * t, cfg))
-        zeros.append(ZetaZero(index=k, t=t, residual=residual, bracket=bracket))
+        zeros.append(ZetaZero(index=len(zeros) + 1, t=t, residual=residual,
+                              bracket=bracket))
     return zeros
 
 
@@ -248,15 +235,14 @@ class ScanCell:
 
 def scan_s_plane(re_range: tuple[float, float], im_range: tuple[float, float],
                  n_re: int, n_im: int,
-                 cfg: SpecFunConfig = DEFAULT_SPECFUN,
-                 jobs: int = 1) -> list[ScanCell]:
+                 cfg: SpecFunConfig = DEFAULT_SPECFUN) -> list[ScanCell]:
     """Sweep the strip: |zeta|, analytic residual, and lambda per grid cell.
 
     The grid must sit in Re(s) > 0 (outside that the candidates leave the
     operator domain and the sweep is meaningless).  Cells within 1e-3 of
     s = 1 are emitted with flag "pole"; any other per-cell failure becomes
     flag "error:<type>" without aborting the scan.  Ordering is im-major
-    (im outer, re inner) and deterministic regardless of jobs.
+    (im outer, re inner) and deterministic.
     """
     re0, re1 = float(re_range[0]), float(re_range[1])
     im0, im1 = float(im_range[0]), float(im_range[1])
@@ -281,9 +267,6 @@ def scan_s_plane(re_range: tuple[float, float], im_range: tuple[float, float],
         except Exception as exc:  # per-cell isolation, scan must not abort
             return ScanCell(s, math.nan, math.nan, lam, real, f"error:{type(exc).__name__}")
 
-    if jobs > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(cell, points))
     return [cell(s) for s in points]
 
 

@@ -79,6 +79,13 @@ def test_eval_domain_error_exit_2(capsys):
     assert "error" in out
 
 
+def test_eval_sigma_non_flat_summand_exit_2(capsys):
+    # v^1 is not asymptotically flat, so the limit cannot give x(x+1)/2
+    code, out = run_json(capsys, "eval", "sigma", "--x", "0.5", "--s", "-1")
+    assert code == 2
+    assert out["diagnostics"][0]["error_class"] == "DomainError"
+
+
 def test_eval_missing_s_exit_2(capsys):
     code, _ = run_cli(capsys, "eval", "sigma", "--x", "0.5")
     assert code == 2

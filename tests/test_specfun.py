@@ -285,10 +285,6 @@ def test_hardy_z_domain():
 def test_config_validation():
     with pytest.raises(OutOfRangeError):
         SpecFunConfig(em_terms=5)
-    with pytest.raises(OutOfRangeError):
-        SpecFunConfig(em_bernoulli_order=7)
-    with pytest.raises(OutOfRangeError):
-        SpecFunConfig(target_abs_tol=0.0)
 
 
 def test_tail_outside_validity_raises():

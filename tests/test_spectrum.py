@@ -138,12 +138,6 @@ def test_zero_finder_domain():
         find_critical_zeros(0.0, 150.0)
 
 
-def test_zero_finder_parallel_matches_serial():
-    serial = find_critical_zeros(0.0, 30.0)
-    threaded = find_critical_zeros(0.0, 30.0, jobs=4)
-    assert [z.t for z in serial] == [z.t for z in threaded]
-
-
 def test_zero_finder_covers_partial_final_cell():
     # the first zero sits at 14.1347...; a range ending just past it must
     # still bracket it even though the 0.05 grid does not land on t_max
@@ -233,12 +227,6 @@ def test_scan_single_column_on_critical_line():
     assert len(cells) == 11
     assert all(c.lam.imag == 0.0 for c in cells)
     assert all(c.lambda_is_real for c in cells)
-
-
-def test_scan_parallel_deterministic():
-    a = scan_s_plane((0.2, 0.8), (5.0, 9.0), 4, 7)
-    b = scan_s_plane((0.2, 0.8), (5.0, 9.0), 4, 7, jobs=4)
-    assert a == b
 
 
 def test_scan_isolates_per_cell_failures():
