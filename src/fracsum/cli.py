@@ -426,8 +426,29 @@ def _render_results(results: dict, indent: str) -> None:
             print(f"{indent}result  {key} = {_render(val)}")
 
 
+def _join_complex_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--s VALUE`` as ``--s=VALUE`` when VALUE is a complex literal.
+
+    argparse takes a separate ``-0.5+3i`` for an option, so without this a
+    negative real part would need the ``--s=`` spelling.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--s":
+            try:
+                parse_complex(tok)
+            except DomainError:
+                pass
+            else:
+                out[-1] = f"--s={tok}"
+                continue
+        out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_complex_values(argv))
     t0 = time.perf_counter()
     diagnostics: list[dict] = []
     try:

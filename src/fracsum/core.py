@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -329,6 +330,11 @@ def _extrapolate(partials: list[complex]):
     return s_c + r * d2 / (1.0 - r), float(-math.log2(abs(r)))
 
 
+# f(v) at the integer nodes of each schedule chunk, per summand and keyed by
+# the chunk's (first, last) node; an entry lives as long as its summand
+_NODE_VALUES = weakref.WeakKeyDictionary()
+
+
 def fractional_sum_limit(f: EvalFn, x: float,
                          cfg: SummationConfig = DEFAULT_SUMMATION) -> FracSumResult:
     """The fractional sum sum_{v=1}^{x} f(v) for x > -1.
@@ -338,6 +344,12 @@ def fractional_sum_limit(f: EvalFn, x: float,
     along the geometric schedule, extrapolated by the power-law fit, and
     extended by doubling up to cfg.max_n while the last two extrapolants
     disagree by more than abs_tol.
+
+    The values f(v) at the integer nodes do not depend on x.  They are
+    computed once per schedule chunk and kept for as long as f lives, so
+    further limits of the same summand (the stencil points of a numeric
+    derivative, say) evaluate only f(v+x).  The arithmetic is unchanged:
+    every result has the same bits as with a fresh summand.
     """
     x = float(x)
     if x <= -1.0:
@@ -357,9 +369,13 @@ def fractional_sum_limit(f: EvalFn, x: float,
     running = 0.0 + 0.0j
     prev_n = 0
     n = cfg.n0
+    node_values = _NODE_VALUES.setdefault(f, {})
     while True:
         nu = np.arange(prev_n + 1.0, n + 0.5)
-        running += complex(np.sum(f(nu) - f(nu + x)))
+        nodes = node_values.get((prev_n + 1, n))
+        if nodes is None:
+            nodes = node_values[(prev_n + 1, n)] = f(nu)
+        running += complex(np.sum(nodes - f(nu + x)))
         partials.append(x * complex(f(float(n))) + running)
         prev_n = n
         if len(partials) >= 3:

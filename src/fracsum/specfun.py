@@ -43,6 +43,10 @@ EM_BERNOULLI_ORDER = 24
 #: absolute accuracy the Euler-Maclaurin tail estimate must reach
 TARGET_ABS_TOL = 1e-12
 
+# points per block of the explicit Hurwitz sum; bounds its (em_terms x block)
+# temporaries instead of letting them grow with the argument array
+_HURWITZ_BLOCK = 2048
+
 
 @dataclass(frozen=True)
 class SpecFunConfig:
@@ -124,6 +128,11 @@ def hurwitz_zeta_with_error(s: complex, a, cfg: SpecFunConfig = DEFAULT_SPECFUN)
     Returns ``(value, bound)`` where ``bound`` is the magnitude of the first
     omitted Bernoulli correction times the standard |s+2M+1|/(sigma+2M+1)
     safety factor.  ``hurwitz_zeta`` is the value-only wrapper.
+
+    The explicit sum runs over blocks of about 2048 points, so its
+    temporaries stay near 1.6 MB per (em_terms x block) array at the
+    default em_terms however long ``a`` is.  A point's value has the same
+    bits in every array of two or more points that holds it.
     """
     s = complex(s)
     if s == 1:
@@ -141,9 +150,17 @@ def hurwitz_zeta_with_error(s: complex, a, cfg: SpecFunConfig = DEFAULT_SPECFUN)
     order = EM_BERNOULLI_ORDER // 2
 
     # Explicit part: sum_{k=0}^{N-1} (k+a)^(-s).  Bases are positive reals,
-    # so exp(-s log(.)) with the real log has no branch ambiguity.
+    # so exp(-s log(.)) with the real log has no branch ambiguity.  numpy
+    # sums a single column pairwise but wider blocks row by row, so a
+    # trailing one-column block is merged into the one before it: a point's
+    # bits then do not depend on where the block edges fall.
     k = np.arange(n_terms, dtype=float)
-    main = np.exp(-s * np.log(k[:, None] + arr[None, :])).sum(axis=0)
+    edges = list(range(0, arr.size, _HURWITZ_BLOCK)) + [arr.size]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    main = np.empty(arr.shape, dtype=complex)
+    for lo, hi in zip(edges, edges[1:]):
+        main[lo:hi] = np.exp(-s * np.log(k[:, None] + arr[None, lo:hi])).sum(axis=0)
 
     w = n_terms + arr
     logw = np.log(w)

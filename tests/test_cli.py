@@ -86,6 +86,19 @@ def test_eval_sigma_non_flat_summand_exit_2(capsys):
     assert out["diagnostics"][0]["error_class"] == "DomainError"
 
 
+@pytest.mark.parametrize("argv,expect", [
+    (("eval", "fracpow", "--x", "0.5"), 0),
+    (("norm", "--T", "50"), 2),  # reaches the Re(s) > 0 domain check
+])
+def test_negative_complex_s_as_separate_argument(capsys, argv, expect):
+    # argparse alone takes "-0.25+3i" for an option and exits 2 on usage
+    code, joined = run_json(capsys, *argv, "--s", "-0.25+3i")
+    assert code == expect
+    code, glued = run_json(capsys, *argv, "--s=-0.25+3i")
+    assert code == expect
+    assert without_timing(joined) == without_timing(glued)
+
+
 def test_eval_missing_s_exit_2(capsys):
     code, _ = run_cli(capsys, "eval", "sigma", "--x", "0.5")
     assert code == 2

@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from fracsum import (
     sin_2pi_fn,
     sum_log,
 )
+from fracsum import core
 from oracles import richardson_diff
 
 PROBE = (0.5, 1.0, 2.0)
@@ -221,6 +224,37 @@ def test_domain_checks():
         fractional_sum_limit(log_fn(), -1.0)
     with pytest.raises(DomainError):
         fractional_sum_limit(EvalFn(0.5, lambda x: x), 0.5)
+
+
+def test_node_values_shared_across_limits_are_bitwise_exact():
+    # one summand's limits at several x, in two orders, against a fresh
+    # summand per x (which never reuses node values); the x stop at
+    # different n, so later limits mix reused and new chunks
+    s = 0.7 + 5j
+    xs = (0.25, 2.5, 0.7, 5.5)
+    cfg = SummationConfig(max_n=8192)
+    f = power_fn(s)
+    forward = [fractional_sum_limit(f, x, cfg) for x in xs]
+    assert (cfg.n0 + 1, 2 * cfg.n0) in core._NODE_VALUES[f]
+    g = power_fn(s)
+    backward = [fractional_sum_limit(g, x, cfg) for x in reversed(xs)][::-1]
+    fresh = [fractional_sum_limit(power_fn(s), x, cfg) for x in xs]
+    assert len({r.n_used for r in fresh}) > 1
+    for a, b, c in zip(forward, backward, fresh):
+        assert a == b == c
+
+
+def test_node_values_die_with_their_summand():
+    gc.collect()
+    f = power_fn(0.5 + 3j)
+    fractional_sum_limit(f, 0.5)
+    assert f in core._NODE_VALUES
+    before = len(core._NODE_VALUES)
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+    assert len(core._NODE_VALUES) == before - 1
 
 
 # ------------------------------------------------------------ frac_power

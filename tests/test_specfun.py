@@ -23,6 +23,7 @@ from fracsum import (
     riemann_siegel_theta,
     riemann_zeta,
 )
+from fracsum import specfun
 from oracles import (
     alt_series_zeta,
     digamma_series,
@@ -103,6 +104,20 @@ def test_hurwitz_vectorized_matches_scalar():
     for i, ai in enumerate(a):
         one = hurwitz_zeta(s, float(ai))
         assert abs(vec[i] - one) < 1e-14 * max(1.0, abs(one))
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_hurwitz_blocks_are_bitwise_equal_to_two_wide_slices(blocks):
+    # B+1 and 2B+1 points leave one point past the last full block; each
+    # value must keep the bits it has in a two-point array
+    size = blocks * specfun._HURWITZ_BLOCK + 1
+    a = np.linspace(0.05, 400.0, size)
+    s = 0.5 + 14.1347j
+    whole = hurwitz_zeta(s, a)
+    sliced = np.empty(size, dtype=complex)
+    for j in list(range(0, size - 1, 2)) + [size - 2]:
+        sliced[j:j + 2] = hurwitz_zeta(s, a[j:j + 2])
+    assert whole.tobytes() == sliced.tobytes()
 
 
 def test_hurwitz_rejects_pole_and_bad_a():
