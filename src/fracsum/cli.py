@@ -284,7 +284,6 @@ def _cmd_eval(args, cfgs, diagnostics):
         "err_estimate": res.err_estimate,
         "n_used": res.n_used,
         "converged": res.converged,
-        "decay_exponent_estimate": res.decay_exponent_estimate,
         "method": "summation_limit",
     }
     if not res.converged:

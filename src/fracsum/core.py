@@ -12,21 +12,24 @@ reference domains and the difference operators move between them:
 ``fractional_sum_limit`` maps back, with the ledger kept mechanically by the
 ``domain_lo`` field.
 
-For a summand f on U+ the engine evaluates the partial expressions
+For a summand f on U+ the engine reduces x >= 1 to x0 = x - floor(x) by
+the shift sum_{1}^{x} f = sum_{1}^{x-1} f + f(x), evaluates the partial
+expressions
 
-    S_n(x) = x f(n) + sum_{v=1}^{n} (f(v) - f(v+x))
+    S_n(x0) = x0 f(n) + sum_{v=1}^{n} (f(v) - f(v+x0))
 
-along a geometric index schedule and extrapolates the limit n -> inf.  The
-limit exists for asymptotically flat f (``flatness_probe`` classifies this)
-and reproduces the ordinary finite sum at integer x.
+along a geometric index schedule, and extrapolates n -> inf with Wynn's
+epsilon algorithm.  The limit exists for asymptotically flat f
+(``flatness_probe`` classifies this) and reproduces the ordinary finite sum
+at integer x.  S_n is analytic in x, so the same loop also takes the
+derivative under the limit, lim_n [f(n) - sum_{v=1}^{n} f'(v+x0)].
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -203,11 +206,11 @@ class SummationConfig:
     """Controls the limit engine.
 
     The index schedule is geometric: n0, 2 n0, ..., n0 2^(SCHEDULE_LEN - 1),
-    extended by further doublings up to max_n while unconverged.  The last
-    three partial values are fitted to S + C n^(-alpha) and the extrapolant
-    returned; convergence means the last two extrapolants agree within
-    abs_tol.  ``strict`` turns a failed convergence into a ConvergenceError
-    instead of a diagnostic.
+    extended by further doublings up to max_n while unconverged.  Wynn's
+    epsilon algorithm extrapolates the partial values after each step;
+    convergence means the last two extrapolants agree within abs_tol.
+    ``strict`` turns a failed convergence into a ConvergenceError instead
+    of a diagnostic.
     """
 
     n0: int = 64
@@ -233,17 +236,12 @@ DEFAULT_SUMMATION = SummationConfig()
 
 @dataclass(frozen=True)
 class FracSumResult:
-    """Value of a fractional sum plus convergence diagnostics.
-
-    decay_exponent_estimate is the fitted alpha in error ~ C n^(-alpha)
-    (nan when the schedule was not consulted, e.g. exact integer sums).
-    """
+    """Value of a fractional sum (or of its derivative) plus diagnostics."""
 
     value: complex
     err_estimate: float
     n_used: int
     converged: bool
-    decay_exponent_estimate: float
 
 
 @dataclass(frozen=True)
@@ -312,75 +310,47 @@ def flatness_probe(f: EvalFn, x_samples: Iterable[float],
     return FlatnessReport(overall, tuple(samples))
 
 
-def _extrapolate(partials: list[complex]):
-    """Three-point power-law fit S_n ~ S + C n^(-alpha) on a ratio-2 schedule.
+def _wynn(partials: list[complex]) -> complex:
+    """Wynn's epsilon algorithm: the iterated Shanks transform of partials.
 
-    Consecutive increments of such a sequence satisfy D2/D1 = 2^(-alpha)
-    exactly (complex alpha allowed), so the limit is S = S_last + r D2/(1-r).
-    Returns (extrapolant, fitted exponent).
+    On a ratio-2 schedule each power n^(-a) in the truncation of S_n is a
+    geometric sequence in the schedule index, and each even column of the
+    epsilon table removes one more of them.  Returns the last entry of the
+    deepest even column; a zero difference ends the table (the column
+    before it is exact, e.g. a constant sequence).
     """
-    s_a, s_b, s_c = partials[-3], partials[-2], partials[-1]
-    d1 = s_b - s_a
-    d2 = s_c - s_b
-    if abs(d1) == 0.0:
-        return s_c, math.inf
-    r = d2 / d1
-    if abs(r) >= 0.99:  # no decay visible; extrapolation would amplify noise
-        return s_c, float(-math.log2(abs(r))) if abs(r) > 0 else math.inf
-    return s_c + r * d2 / (1.0 - r), float(-math.log2(abs(r)))
+    prev, cur = [0j] * (len(partials) + 1), partials
+    best = cur[-1]
+    for col in range(1, len(partials)):
+        diffs = [b - a for a, b in zip(cur, cur[1:])]
+        if 0 in diffs:
+            break
+        prev, cur = cur, [p + 1.0 / d for p, d in zip(prev[1:], diffs)]
+        if col % 2 == 0:
+            best = cur[-1]
+    return best
 
 
-# f(v) at the integer nodes of each schedule chunk, per summand and keyed by
-# the chunk's (first, last) node; an entry lives as long as its summand
-_NODE_VALUES = weakref.WeakKeyDictionary()
+def _limit(terms: Callable, edge: Callable, cfg: SummationConfig,
+           what: str) -> FracSumResult:
+    """lim_n [edge(n) + sum_{v=1}^{n} terms(v)] along the index schedule.
 
-
-def fractional_sum_limit(f: EvalFn, x: float,
-                         cfg: SummationConfig = DEFAULT_SUMMATION) -> FracSumResult:
-    """The fractional sum sum_{v=1}^{x} f(v) for x > -1.
-
-    Integer x >= 0 returns the exact finite sum directly (empty sum = 0).
-    Otherwise S_n(x) = x f(n) + sum_{v=1}^n (f(v) - f(v+x)) is accumulated
-    along the geometric schedule, extrapolated by the power-law fit, and
-    extended by doubling up to cfg.max_n while the last two extrapolants
+    The partial values are extrapolated by ``_wynn`` after each step, and
+    the schedule doubles up to cfg.max_n while the last two extrapolants
     disagree by more than abs_tol.
-
-    The values f(v) at the integer nodes do not depend on x.  They are
-    computed once per schedule chunk and kept for as long as f lives, so
-    further limits of the same summand (the stencil points of a numeric
-    derivative, say) evaluate only f(v+x).  The arithmetic is unchanged:
-    every result has the same bits as with a fresh summand.
     """
-    x = float(x)
-    if x <= -1.0:
-        raise DomainError(f"fractional sums are defined for x > -1, got {x}")
-    if f.domain_lo > 0.0:
-        raise DomainError("summand must be defined on all of (0, inf)")
-
-    if x.is_integer():
-        m = int(x)
-        value = complex(np.sum(f(np.arange(1.0, m + 0.5)))) if m >= 1 else 0.0 + 0.0j
-        return FracSumResult(value, 0.0, m, True, math.nan)
-
     partials: list[complex] = []
     estimates: list[complex] = []
-    exponent = math.nan
     err = math.inf
     running = 0.0 + 0.0j
     prev_n = 0
     n = cfg.n0
-    node_values = _NODE_VALUES.setdefault(f, {})
     while True:
-        nu = np.arange(prev_n + 1.0, n + 0.5)
-        nodes = node_values.get((prev_n + 1, n))
-        if nodes is None:
-            nodes = node_values[(prev_n + 1, n)] = f(nu)
-        running += complex(np.sum(nodes - f(nu + x)))
-        partials.append(x * complex(f(float(n))) + running)
+        running += complex(np.sum(terms(np.arange(prev_n + 1.0, n + 0.5))))
+        partials.append(complex(edge(float(n))) + running)
         prev_n = n
         if len(partials) >= 3:
-            est, exponent = _extrapolate(partials)
-            estimates.append(est)
+            estimates.append(_wynn(partials))
             if len(estimates) >= 2:
                 err = abs(estimates[-1] - estimates[-2])
         scheduled = len(partials) >= SCHEDULE_LEN
@@ -389,14 +359,55 @@ def fractional_sum_limit(f: EvalFn, x: float,
             break
         n *= 2
 
-    value = estimates[-1] if estimates else partials[-1]
-    converged = err <= cfg.abs_tol
     if cfg.strict and not converged:
         raise ConvergenceError(
-            f"fractional sum of {f.label or 'summand'} at x={x} stalled at "
-            f"err ~ {err:.3e} (abs_tol {cfg.abs_tol:.1e}, n up to {prev_n})"
+            f"{what} stalled at err ~ {err:.3e} "
+            f"(abs_tol {cfg.abs_tol:.1e}, n up to {prev_n})"
         )
-    return FracSumResult(complex(value), float(err), prev_n, converged, exponent)
+    return FracSumResult(estimates[-1], float(err), prev_n, converged)
+
+
+def _reduce(f: EvalFn, x: float) -> tuple[float, np.ndarray]:
+    """x0 in (-1, 1) with x - x0 a whole number, and the nodes x0+1, ..., x."""
+    x = float(x)
+    if x <= -1.0:
+        raise DomainError(f"fractional sums are defined for x > -1, got {x}")
+    if f.domain_lo > 0.0:
+        raise DomainError("summand must be defined on all of (0, inf)")
+    x0 = x - math.floor(x) if x >= 1.0 else x
+    return x0, x0 + np.arange(1.0, x - x0 + 0.5)
+
+
+def fractional_sum_limit(f: EvalFn, x: float,
+                         cfg: SummationConfig = DEFAULT_SUMMATION) -> FracSumResult:
+    """The fractional sum sum_{v=1}^{x} f(v) for x > -1.
+
+    x >= 1 is reduced to x0 = x - floor(x), and f(x0+1) + ... + f(x) is
+    added exactly.  At integer x that is the whole (exact) sum; otherwise
+    the limit of S_n(x0) = x0 f(n) + sum_{v=1}^n (f(v) - f(v+x0)) is taken
+    by ``_limit``.
+    """
+    x0, nodes = _reduce(f, x)
+    shift = complex(np.sum(f(nodes))) if nodes.size else 0j
+    if x0 == 0.0:
+        return FracSumResult(shift, 0.0, nodes.size, True)
+    res = _limit(lambda v: f(v) - f(v + x0), lambda n: x0 * f(n), cfg,
+                 f"fractional sum of {f.label or 'summand'} at x={x}")
+    return replace(res, value=res.value + shift)
+
+
+def fractional_sum_derivative(f: EvalFn, x: float,
+                              cfg: SummationConfig = DEFAULT_SUMMATION) -> FracSumResult:
+    """d/dx sum_{v=1}^{x} f(v) for x > -1, for f with an analytic derivative.
+
+    The limit of dS_n/dx = f(n) - sum_{v=1}^n f'(v+x0), plus f'(x0+1) + ...
+    + f'(x) exactly, with x0 as in ``fractional_sum_limit``.
+    """
+    x0, nodes = _reduce(f, x)
+    shift = complex(np.sum(f.derivative(nodes))) if nodes.size else 0j
+    res = _limit(lambda v: -f.derivative(v + x0), f, cfg,
+                 f"derivative of the fractional sum of {f.label or 'summand'} at x={x}")
+    return replace(res, value=res.value + shift)
 
 
 _S_ONE_EXACT = 1e-8   # at |s-1| below this, switch to the digamma branch

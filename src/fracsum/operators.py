@@ -8,25 +8,24 @@
 X maps functions on (-1, inf) back to functions on (-1, inf) and always
 produces 0 at x = 0 (empty-sum convention).  p uses the analytic derivative
 when the function carries one and Richardson-improved finite differences
-otherwise.  Differentiating X f numerically perturbs the summation limit,
-so apply_R tightens the sum tolerance on the differentiated branch: the
-error budget h^2 + tol/h is minimised near h = 1e-4 once tol = 1e-10.
+otherwise.  X f carries an analytic derivative whenever f does: the
+derivative of its summation limit, taken under the limit.  So p X f never
+differences a summation limit, and R needs no special configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     NOT_FLAT,
-    SCHEDULE_LEN,
     EvalFn,
     SummationConfig,
     flatness_probe,
     forward_difference,
+    fractional_sum_derivative,
     fractional_sum_limit,
     linear_combination,
 )
@@ -34,10 +33,6 @@ from .errors import ConvergenceError, DomainError, OutOfRangeError
 
 #: positive abscissas used for the lazy flatness check inside apply_X
 PROBE_GRID = (0.5, 1.0, 2.5)
-
-_MEMO_SIZE = 2 ** 16
-_P_SUM_TOL = 1e-10
-_P_SUM_MAX_N = 32768
 
 
 @dataclass(frozen=True)
@@ -114,10 +109,11 @@ def apply_p(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
 def apply_X(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
     """X f = fractional sum of v * (Delta f)(v), a function on (-1, inf).
 
-    By the empty-sum convention (X f)(0) = 0 exactly.  In strict mode the
-    integrand must pass the flatness probe (checked lazily on first use);
-    a not_flat classification raises ConvergenceError.  Point evaluations
-    are memoized (LRU, 2^16 entries) because R queries cluster.
+    By the empty-sum convention (X f)(0) = 0 exactly.  When f carries an
+    analytic derivative, so does X f: the fractional sum's derivative,
+    taken under the limit.  In strict mode the integrand must pass the
+    flatness probe (checked lazily on first use); a not_flat
+    classification raises ConvergenceError.
     """
     if f.domain_lo > -1.0:
         raise DomainError(f"apply_X needs a function on (-1, inf); got ({f.domain_lo}, inf)")
@@ -134,42 +130,29 @@ def apply_X(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
             )
         checked.append(True)
 
-    @lru_cache(maxsize=_MEMO_SIZE)
-    def at(x: float) -> complex:
-        if cfg.sum_cfg.strict:
-            ensure_flat()
-        return fractional_sum_limit(integrand, x, cfg.sum_cfg).value
+    def pointwise(limit):
+        def at(x) -> complex:
+            if cfg.sum_cfg.strict:
+                ensure_flat()
+            return limit(integrand, float(x), cfg.sum_cfg).value
 
-    def ev(x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return at(float(arr))
-        return np.array([at(float(v)) for v in arr])
+        return lambda x: at(x) if np.ndim(x) == 0 else np.array([at(v) for v in x])
 
-    return EvalFn(-1.0, ev, label=f"X[{f.label}]")
+    dv = None
+    if integrand.analytic_derivative is not None:
+        dv = pointwise(fractional_sum_derivative)
+    return EvalFn(-1.0, pointwise(fractional_sum_limit), dv, label=f"X[{f.label}]")
 
 
 def apply_R(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
     """R f = X p f + p X f on (-1, inf).
 
-    The second term differentiates a summation limit, so its X is built
-    with the sum tolerance tightened to 1e-10 (differencing divides the
-    limit noise by the step) and the schedule capped near 32k: pointwise
-    forward differences of a growing f cancel ~ f-sized values, so the
-    accumulated rounding noise grows like n^(3/2 - Re s) and past ~32k the
-    noise term of the h^2 + noise/h budget dominates the truncation gain.
-    The tightened target is aspirational (push as far as the cap allows),
-    so that branch never raises in strict mode; strictness keeps gating the
-    other branch at the caller's own tolerance.
+    When f carries an analytic derivative, p X f is the derivative of X f's
+    summation limit taken under the limit; otherwise p differences X f
+    numerically like any other function.
     """
     term_xp = apply_X(apply_p(f, cfg), cfg)
-    sum_cfg = cfg.sum_cfg
-    capped = max(min(sum_cfg.max_n, _P_SUM_MAX_N),
-                 sum_cfg.n0 * 2 ** (SCHEDULE_LEN - 1))
-    tight = replace(cfg, sum_cfg=replace(sum_cfg,
-                                         abs_tol=min(sum_cfg.abs_tol, _P_SUM_TOL),
-                                         max_n=capped, strict=False))
-    term_px = apply_p(apply_X(f, tight), cfg)
+    term_px = apply_p(apply_X(f, cfg), cfg)
     return linear_combination([(1.0, term_xp), (1.0, term_px)], label=f"R[{f.label}]")
 
 

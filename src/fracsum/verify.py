@@ -215,7 +215,7 @@ def operator_suite(seed: int = 0,
                                math.inf, 1e-12, str(exc)))
 
     # One full numeric R against the closed form (reduced grid; this is the
-    # nested-limit path, gated at the looser tolerance).
+    # nested-limit path).
     s = 2.0 + 0j
     f = frac_power_fn(s)
     rf = apply_R(f, op_cfg)
@@ -224,7 +224,7 @@ def operator_suite(seed: int = 0,
     for x in (0.5, 1.5):
         closed = eigenvalue_of(s) * complex(f(x)) - 1j * (s - 1.0) * zs
         worst = max(worst, abs(complex(rf(x)) - closed))
-    out.append(_check("numeric_R_matches_closed_form", worst, 1e-3))
+    out.append(_check("numeric_R_matches_closed_form", worst, 1e-8))
     return out
 
 

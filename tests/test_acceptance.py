@@ -148,11 +148,11 @@ def test_acceptance_operator_image_matches_closed_form():
         worst_by_s[s] = float(defect.max())
     elapsed = time.monotonic() - t0
     worst = max(worst_by_s.values())
-    ok = worst < 1e-3 and elapsed < 300.0
+    ok = worst < 1e-8 and elapsed < 300.0
     detail = ", ".join(f"s={s}: {d:.2e}" for s, d in worst_by_s.items())
     report("numeric operator image matches the closed form", ok,
-           f"{detail} (tol 1e-3), {elapsed:.0f}s (< 300s)")
-    assert worst < 1e-3
+           f"{detail} (tol 1e-8), {elapsed:.0f}s (< 300s)")
+    assert worst < 1e-8
     assert elapsed < 300.0
 
 

@@ -73,6 +73,16 @@ def test_eval_sigma_agrees_with_fracpow(capsys):
     assert abs(dv) < 1e-6
 
 
+def test_eval_sigma_flat_growing_summand_converges(capsys):
+    # v^(1/2) grows but is flat; its limit converges under strict defaults
+    code, sig = run_json(capsys, "eval", "sigma", "--x", "0.5", "--s=-0.5")
+    assert code == 0
+    assert sig["results"]["converged"] is True
+    code, closed = run_json(capsys, "eval", "fracpow", "--x", "0.5", "--s=-0.5")
+    dv = sig["results"]["value"]["re"] - closed["results"]["value"]["re"]
+    assert abs(dv) < 1e-8
+
+
 def test_eval_domain_error_exit_2(capsys):
     code, out = run_cli(capsys, "eval", "fracpow", "--x", "-2", "--s", "2+0i")
     assert code == 2

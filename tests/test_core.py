@@ -1,8 +1,6 @@
-import gc
 import math
 import random
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +22,7 @@ from fracsum import (
     frac_power,
     frac_power_derivative,
     frac_power_fn,
+    fractional_sum_derivative,
     fractional_sum_limit,
     half_difference,
     hurwitz_zeta,
@@ -36,7 +35,6 @@ from fracsum import (
     sin_2pi_fn,
     sum_log,
 )
-from fracsum import core
 from oracles import richardson_diff
 
 PROBE = (0.5, 1.0, 2.0)
@@ -204,16 +202,10 @@ def test_error_estimate_decreases_with_larger_base():
         assert e2 < e1
 
 
-def test_decay_exponent_reported():
-    res = fractional_sum_limit(power_fn(0.5), 0.3)
-    # truncation decays like n^(-s-1)
-    assert abs(res.decay_exponent_estimate - 1.5) < 0.3
-
-
 def test_strict_mode_raises_on_divergence():
-    # v^(1/2) is flat and summable (frac_power(0.5, -0.5) = 0.4383320906),
-    # but its limit converges slowly (0.4383320975 by n = 131072): max_n=2048
-    # stops the schedule before the extrapolants agree within abs_tol
+    # v^(1/2) is flat and summable (frac_power(0.5, -0.5) = 0.4383320906)
+    # and its limit converges at n = 8192 by default; max_n=2048 stops the
+    # schedule before the extrapolants agree within abs_tol
     cfg = SummationConfig(strict=True, max_n=2048)
     with pytest.raises(ConvergenceError):
         fractional_sum_limit(power_fn(-0.5), 0.5, cfg)
@@ -226,35 +218,22 @@ def test_domain_checks():
         fractional_sum_limit(EvalFn(0.5, lambda x: x), 0.5)
 
 
-def test_node_values_shared_across_limits_are_bitwise_exact():
-    # one summand's limits at several x, in two orders, against a fresh
-    # summand per x (which never reuses node values); the x stop at
-    # different n, so later limits mix reused and new chunks
-    s = 0.7 + 5j
-    xs = (0.25, 2.5, 0.7, 5.5)
-    cfg = SummationConfig(max_n=8192)
-    f = power_fn(s)
-    forward = [fractional_sum_limit(f, x, cfg) for x in xs]
-    assert (cfg.n0 + 1, 2 * cfg.n0) in core._NODE_VALUES[f]
-    g = power_fn(s)
-    backward = [fractional_sum_limit(g, x, cfg) for x in reversed(xs)][::-1]
-    fresh = [fractional_sum_limit(power_fn(s), x, cfg) for x in xs]
-    assert len({r.n_used for r in fresh}) > 1
-    for a, b, c in zip(forward, backward, fresh):
-        assert a == b == c
+def test_shift_recurrence_is_exact():
+    # sum_1^x f - sum_1^(x-1) f = f(x): both limits run at the same x0 and
+    # the shift adds the whole-step terms exactly
+    f = power_fn(0.3 + 2j)
+    for x in (1.5, 2.25, 7.75):
+        step = fractional_sum_limit(f, x).value - fractional_sum_limit(f, x - 1.0).value
+        assert abs(step - complex(f(x))) < 1e-14
 
 
-def test_node_values_die_with_their_summand():
-    gc.collect()
-    f = power_fn(0.5 + 3j)
-    fractional_sum_limit(f, 0.5)
-    assert f in core._NODE_VALUES
-    before = len(core._NODE_VALUES)
-    ref = weakref.ref(f)
-    del f
-    gc.collect()
-    assert ref() is None
-    assert len(core._NODE_VALUES) == before - 1
+def test_fractional_sum_derivative_matches_closed_form():
+    # d/dx sum_1^x v^(-s) = frac_power_derivative, at reduced and shifted x
+    for s in (0.7 + 0j, 1.6 - 2j):
+        for x in (-0.5, 0.0, 0.5, 3.0, 7.25):
+            res = fractional_sum_derivative(power_fn(s), x)
+            assert res.converged
+            assert abs(res.value - frac_power_derivative(x, s)) < 1e-8
 
 
 # ------------------------------------------------------------ frac_power

@@ -77,6 +77,13 @@ def test_eigen_residual_numeric_on_reduced_grid():
     assert rep.numeric_residual < 1e-3
 
 
+def test_numeric_residual_strict_at_second_and_third_zero():
+    from fracsum import OperatorConfig, SummationConfig
+    cfg = OperatorConfig(sum_cfg=SummationConfig(strict=True))
+    for t in (21.022039638771555, 25.01085758014569):
+        assert eigen_residual(0.5 + 1j * t, cfg).numeric_residual < 1e-8
+
+
 def test_eigen_residual_requires_right_half_plane():
     with pytest.raises(DomainError):
         eigen_residual(-0.2 + 3j)
