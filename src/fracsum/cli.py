@@ -143,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--diff-step", type=float, default=argparse.SUPPRESS,
                         help="finite-difference step for p (default: 1e-4)")
     common.add_argument("--em-terms", type=int, default=argparse.SUPPRESS,
-                        help="explicit terms before the Euler-Maclaurin tail "
+                        help="explicit terms before the Euler-Maclaurin tail, "
+                             "taken only by Hurwitz points with a below it "
                              "(default: 50)")
     common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
                         help="accepted for compatibility; has no effect")

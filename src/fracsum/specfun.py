@@ -43,7 +43,7 @@ EM_BERNOULLI_ORDER = 24
 #: absolute accuracy the Euler-Maclaurin tail estimate must reach
 TARGET_ABS_TOL = 1e-12
 
-# points per block of the explicit Hurwitz sum; bounds its (em_terms x block)
+# points per block of the explicit Hurwitz sum; bounds its (block x em_terms)
 # temporaries instead of letting them grow with the argument array
 _HURWITZ_BLOCK = 2048
 
@@ -52,7 +52,10 @@ _HURWITZ_BLOCK = 2048
 class SpecFunConfig:
     """Tuning knob for the Euler-Maclaurin evaluations.
 
-    em_terms  number of explicit terms summed before the tail
+    em_terms  where the tail may start: a Hurwitz point with a < em_terms
+              first sums em_terms explicit terms and starts its tail at
+              w = a + em_terms; a point with a >= em_terms takes no explicit
+              terms and starts it at w = a.  Either way w >= em_terms.
 
     The Bernoulli order EM_BERNOULLI_ORDER and the target TARGET_ABS_TOL are
     fixed; with the default em_terms the first omitted Bernoulli term stays
@@ -125,14 +128,18 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 def hurwitz_zeta_with_error(s: complex, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     """Hurwitz zeta(s, a) together with the tail-remainder bound actually used.
 
-    Returns ``(value, bound)`` where ``bound`` is the magnitude of the first
-    omitted Bernoulli correction times the standard |s+2M+1|/(sigma+2M+1)
-    safety factor.  ``hurwitz_zeta`` is the value-only wrapper.
+    Returns ``(value, bound)`` where ``bound`` is the largest magnitude over
+    the points of the first omitted Bernoulli correction, each at its own
+    tail start w, times the standard |s+2M+1|/(sigma+2M+1) safety factor,
+    plus a rounding floor.  ``hurwitz_zeta`` is the value-only wrapper.
 
-    The explicit sum runs over blocks of about 2048 points, so its
-    temporaries stay near 1.6 MB per (em_terms x block) array at the
-    default em_terms however long ``a`` is.  A point's value has the same
-    bits in every array of two or more points that holds it.
+    Only points with a < em_terms sum em_terms explicit terms (tail at
+    w = a + em_terms); the rest start the tail at w = a.  The tail costs one
+    complex power w^(-s) per point.  The explicit sum runs over blocks of
+    about 2048 of the a < em_terms points, so its temporaries stay near
+    1.6 MB per (block x em_terms) array at the default em_terms however
+    long ``a`` is.  A point's value has the same bits alone and in every
+    array that holds it.
     """
     s = complex(s)
     if s == 1:
@@ -149,33 +156,44 @@ def hurwitz_zeta_with_error(s: complex, a, cfg: SpecFunConfig = DEFAULT_SPECFUN)
     n_terms = cfg.em_terms
     order = EM_BERNOULLI_ORDER // 2
 
-    # Explicit part: sum_{k=0}^{N-1} (k+a)^(-s).  Bases are positive reals,
-    # so exp(-s log(.)) with the real log has no branch ambiguity.  numpy
-    # sums a single column pairwise but wider blocks row by row, so a
-    # trailing one-column block is merged into the one before it: a point's
-    # bits then do not depend on where the block edges fall.
+    # Explicit part, only where a < em_terms: sum_{k<N} (a+k)^(-s) moves the
+    # tail to w = a + N; every other point starts its tail at w = a.  Bases
+    # are positive reals, so exp(-s log(.)) with the real log has no branch
+    # ambiguity.  A point's terms fill one contiguous row, which numpy sums
+    # pairwise however many rows there are, so its bits do not depend on the
+    # array that holds it or on where the block edges fall.
+    near = np.flatnonzero(arr < n_terms)
+    w = arr.copy()
+    w[near] += n_terms
+    value = np.zeros(arr.shape, dtype=complex)
     k = np.arange(n_terms, dtype=float)
-    edges = list(range(0, arr.size, _HURWITZ_BLOCK)) + [arr.size]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    main = np.empty(arr.shape, dtype=complex)
-    for lo, hi in zip(edges, edges[1:]):
-        main[lo:hi] = np.exp(-s * np.log(k[:, None] + arr[None, lo:hi])).sum(axis=0)
+    for lo in range(0, near.size, _HURWITZ_BLOCK):
+        rows = near[lo:lo + _HURWITZ_BLOCK]
+        value[rows] = np.exp(-s * np.log(arr[rows, None] + k)).sum(axis=1)
 
-    w = n_terms + arr
-    logw = np.log(w)
-    value = main + np.exp((1 - s) * logw) / (s - 1) + 0.5 * np.exp(-s * logw)
-
-    # Bernoulli tail: sum_j B_2j/(2j)! (s)_{2j-1} w^(-s-2j+1), rising
-    # factorial and factorial updated incrementally.
+    # Euler-Maclaurin tail from one complex power e = w^(-s) per point:
+    # w^(1-s) = w e, and the Bernoulli powers w^(-s-2j+1) = e w^(1-2j) step
+    # down by the real 1/w^2, so the corrections
+    # sum_j B_2j/(2j)! (s)_{2j-1} w^(-s-2j+1) are e/w times a polynomial in
+    # 1/w^2, summed by Horner.  Rising factorial and factorial are updated
+    # incrementally.
+    coef = []
     poch = s
     fact = 1.0
     for j in range(1, order + 1):
         fact *= (2 * j) * (2 * j - 1)
         if j > 1:
             poch *= (s + 2 * j - 3) * (s + 2 * j - 2)
-        value += (_bernoulli_table[2 * j] / fact) * poch * np.exp((-s - 2 * j + 1) * logw)
+        coef.append(_bernoulli_table[2 * j] / fact * poch)
+    inv_w = 1.0 / w
+    inv_w2 = inv_w * inv_w
+    series = coef[-1]
+    for c in reversed(coef[:-1]):
+        series = series * inv_w2 + c
+    value += np.exp(-s * np.log(w)) * (w / (s - 1) + 0.5 + series * inv_w)
 
+    # First omitted term, largest at the smallest w because its power
+    # w^(-sigma-2M-1) falls with w.
     poch_next = poch * (s + 2 * order - 1) * (s + 2 * order)
     fact_next = fact * (2 * order + 2) * (2 * order + 1)
     sigma_shift = s.real + 2 * order + 1
@@ -183,10 +201,8 @@ def hurwitz_zeta_with_error(s: complex, a, cfg: SpecFunConfig = DEFAULT_SPECFUN)
         raise ConvergenceError("Euler-Maclaurin remainder bound unavailable: "
                                "sigma + 2M + 1 <= 0")
     kappa = max(1.0, abs(s + 2 * order + 1) / sigma_shift)
-    truncation = float(
-        (abs(_bernoulli_table[2 * order + 2] / fact_next) * abs(poch_next) * kappa)
-        * np.exp((-s.real - 2 * order - 1) * logw).max()
-    )
+    truncation = (abs(_bernoulli_table[2 * order + 2] / fact_next) * abs(poch_next) * kappa
+                  * float(w.min()) ** (-sigma_shift))
     if truncation > TARGET_ABS_TOL:
         raise ConvergenceError(
             f"Euler-Maclaurin tail estimate {truncation:.3e} exceeds target "

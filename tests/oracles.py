@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
 Nothing here shares code paths with the package: zeta values come from an
-alternating-series acceleration, gamma from the harmonic-number limit,
-digamma from its defining series, and derivatives from finite differences.
+alternating-series acceleration or from scipy, gamma from the
+harmonic-number limit, digamma from its defining series, and derivatives
+from finite differences.
 """
 
 import cmath
@@ -53,6 +54,22 @@ def partial_sum_zeta_bracket(s: float, a: float, n: int = 10 ** 7):
     lo = partial + (a + n) ** (1.0 - s) / (s - 1.0)
     hi = partial + (a + n - 1.0) ** (1.0 - s) / (s - 1.0)
     return lo, hi
+
+
+def scipy_hurwitz_zeta(s: float, a: float) -> float:
+    """zeta(s, a) for real s != 1 and integer or half-integer a < 1e6 when s < 1.
+
+    scipy's Hurwitz zeta is nan for s < 1 but its Riemann zeta is not, so
+    there zeta(s, n) = zeta(s) - sum_{k<n} k^-s and, through
+    zeta(s, 1/2) = (2^s - 1) zeta(s), the same at half-integer a.
+    """
+    from scipy.special import zeta
+
+    if s > 1.0:
+        return float(zeta(s, a))
+    start = 1.0 if a == int(a) else 0.5
+    base = zeta(s) * (1.0 if start == 1.0 else 2.0 ** s - 1.0)
+    return float(base) - math.fsum((start + k) ** -s for k in range(int(a - start)))
 
 
 def harmonic_euler_gamma(n: int = 10 ** 6) -> float:

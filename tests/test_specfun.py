@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -29,6 +30,7 @@ from oracles import (
     digamma_series,
     harmonic_euler_gamma,
     partial_sum_zeta_bracket,
+    scipy_hurwitz_zeta,
 )
 
 T_FIRST_ZERO = 14.1347251417
@@ -96,14 +98,13 @@ def test_hurwitz_three_halves_partial_sum_oracle():
 
 
 def test_hurwitz_vectorized_matches_scalar():
-    # numpy's pairwise reduction blocks differently per shape, so agreement
-    # is to rounding, not bitwise
-    a = np.array([0.3, 1.0, 2.5, 17.0])
+    # each point's explicit terms are summed along their own row, so a point
+    # has the same bits alone as in an array, with or without explicit terms
+    a = np.array([0.3, 1.0, 2.5, 17.0, 60.0, 500.0])
     s = 0.7 - 4j
     vec = hurwitz_zeta(s, a)
     for i, ai in enumerate(a):
-        one = hurwitz_zeta(s, float(ai))
-        assert abs(vec[i] - one) < 1e-14 * max(1.0, abs(one))
+        assert vec[i] == hurwitz_zeta(s, float(ai))
 
 
 @pytest.mark.parametrize("blocks", [1, 2])
@@ -135,10 +136,33 @@ def test_hurwitz_error_bound_and_em_terms_self_consistency():
     coarse = SpecFunConfig()
     fine = SpecFunConfig(em_terms=100)
     for s in (2.0 + 0j, 0.5 + 30j, -0.5 + 3j, 1.5 - 40j):
-        for a in (0.25, 1.0, 3.0):
+        # 60 and 75 take no explicit terms at the default em_terms and 100
+        # at the fine one; 500 takes none at either
+        for a in (0.25, 1.0, 3.0, 60.0, 75.0, 500.0):
             v1, bound = hurwitz_zeta_with_error(s, a, coarse)
             v2, _ = hurwitz_zeta_with_error(s, a, fine)
             assert abs(v1 - v2) <= bound + 1e-15
+
+
+@pytest.mark.parametrize("s", [0.7, 1.5, 2.5, 6.0])
+def test_hurwitz_without_explicit_terms_matches_scipy(s):
+    # every a >= em_terms starts the Euler-Maclaurin tail at w = a itself
+    for a in (50.0, 50.5, 75.0, 500.0, 1e4, 1e5):
+        value, bound = hurwitz_zeta_with_error(s, a)
+        ref = scipy_hurwitz_zeta(s, a)
+        assert abs(value - ref) <= bound + 8 * np.finfo(float).eps * abs(ref)
+
+
+@pytest.mark.parametrize("s", [0.5 + 14.1347j, 0.5 + 99j, -0.5 + 3j, 2.0 - 40j])
+def test_hurwitz_shift_identity_across_em_terms(s):
+    # zeta(s, a) - zeta(s, a + k) = sum_{j<k} (a + j)^-s with a < em_terms <=
+    # a + k: a point with explicit terms against one without, in one array
+    for a, k in ((47.25, 5), (0.3, 60), (12.0, 38), (49.9, 451)):
+        (lo, hi), bound = hurwitz_zeta_with_error(s, np.array([a, a + k]))
+        terms = [cmath.exp(-s * math.log(a + j)) for j in range(k)]
+        direct = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        scale = max(abs(lo), abs(hi), abs(direct))
+        assert abs((lo - hi) - direct) <= 2 * bound + 8 * np.finfo(float).eps * scale
 
 
 def test_hurwitz_shift_identity_random():
@@ -306,3 +330,8 @@ def test_tail_outside_validity_raises():
     # far outside the tail's reach the evaluation must refuse, not lie
     with pytest.raises((ConvergenceError, DomainError)):
         hurwitz_zeta(-60.0, 1.0)
+    # points with a >= em_terms take no explicit terms; the tail gate still
+    # judges them at their own w = a, alone and beside other points
+    for a in (60.0, np.array([1.0, 60.0, 500.0])):
+        with pytest.raises(ConvergenceError):
+            hurwitz_zeta_with_error(0.5 + 300j, a)
