@@ -13,9 +13,12 @@ corrections.  That keeps one code path and one error model for
 * ``riemann_siegel_theta``, ``hardy_z`` -- the real-valued detector for
   zeros of zeta on the critical line.
 
-Arguments named ``a``, ``z``, or ``x`` accept either a scalar or a 1-D
-numpy array and the result matches the input shape.  The parameter ``s``
-is always a scalar complex number.
+Arguments named ``a``, ``z``, ``t`` or ``x`` accept either a scalar or a
+1-D numpy array and the result matches the input shape.  ``hurwitz_zeta``
+also takes a 1-D array of ``s`` with a scalar ``a``, in the same kernel;
+that is how ``hardy_z`` and the strip scan evaluate zeta over many ``s``
+at once.  A point's value has the same bits alone and in any array.
+``riemann_zeta`` stays scalar and cached.
 
 All functions are pure; the only shared state is the write-once Bernoulli
 table, which is initialised under a lock before first use.
@@ -23,7 +26,6 @@ table, which is initialised under a lock before first use.
 
 from __future__ import annotations
 
-import cmath
 import math
 import threading
 from dataclasses import dataclass
@@ -43,9 +45,11 @@ EM_BERNOULLI_ORDER = 24
 #: absolute accuracy the Euler-Maclaurin tail estimate must reach
 TARGET_ABS_TOL = 1e-12
 
-# points per block of the explicit Hurwitz sum; bounds its (block x em_terms)
-# temporaries instead of letting them grow with the argument array
-_HURWITZ_BLOCK = 2048
+# points per block of the explicit Hurwitz sum, for an array of a or of s;
+# bounds its (block x em_terms) temporaries instead of letting them grow
+# with the argument array (at 2048, the ~2k-point Hardy-Z grid of a zero
+# search raised its peak RSS by about 2 MB)
+_HURWITZ_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -125,33 +129,59 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise ConvergenceError(f"{what} produced a non-finite value")
 
 
-def hurwitz_zeta_with_error(s: complex, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
+def _cmul(x, y):
+    """x * y over complex arrays, by CPython's complex product formula.
+
+    numpy's complex multiply may fuse a multiply-add, so its last bit can
+    differ from a Python complex product; the real arithmetic spelled out
+    keeps each point of an array of s or t on the bits of its scalar call.
+    """
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def hurwitz_zeta_with_error(s, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     """Hurwitz zeta(s, a) together with the tail-remainder bound actually used.
 
-    Returns ``(value, bound)`` where ``bound`` is the largest magnitude over
-    the points of the first omitted Bernoulli correction, each at its own
+    Takes a scalar s with a scalar or 1-D array a, or a 1-D array of s with
+    a scalar a; the value has the shape of the array argument.  Returns
+    ``(value, bound)`` where ``bound`` is the largest magnitude over the
+    points of the first omitted Bernoulli correction, each at its own s and
     tail start w, times the standard |s+2M+1|/(sigma+2M+1) safety factor,
-    plus a rounding floor.  ``hurwitz_zeta`` is the value-only wrapper.
+    plus the largest rounding floor.  The truncation gate fails the whole
+    call if any point misses the target.  ``hurwitz_zeta`` is the
+    value-only wrapper.
 
     Only points with a < em_terms sum em_terms explicit terms (tail at
     w = a + em_terms); the rest start the tail at w = a.  The tail costs one
     complex power w^(-s) per point.  The explicit sum runs over blocks of
-    about 2048 of the a < em_terms points, so its temporaries stay near
-    1.6 MB per (block x em_terms) array at the default em_terms however
-    long ``a`` is.  A point's value has the same bits alone and in every
-    array that holds it.
+    _HURWITZ_BLOCK points, so its (block x em_terms) temporaries stay
+    bounded however long the array is.  A point's value has the same bits
+    alone and in every array that holds it, whichever argument is the
+    array.
     """
-    s = complex(s)
-    if s == 1:
+    batch = isinstance(s, (np.ndarray, list, tuple)) and np.ndim(s) > 0
+    if batch:
+        s = np.asarray(s, dtype=complex)
+        if s.ndim != 1 or np.ndim(a) != 0:
+            raise DomainError("an array of s needs a 1-D s and a scalar a")
+        pole, re_min = bool(np.any(s == 1)), float(s.real.min())
+    else:
+        s = complex(s)
+        pole, re_min = s == 1, s.real
+    if pole:
         raise PoleError("hurwitz zeta has a pole at s = 1")
-    if s.real <= -2.0 * EM_BERNOULLI_ORDER:
+    if re_min <= -2.0 * EM_BERNOULLI_ORDER:
         raise DomainError(
-            f"Re(s) = {s.real} is below the Euler-Maclaurin validity range "
+            f"Re(s) = {re_min} is below the Euler-Maclaurin validity range "
             f"Re(s) > {-2.0 * EM_BERNOULLI_ORDER}"
         )
     arr, scalar = _as_positive_array(a, "a")
     if not _bernoulli_table:
         _bernoulli_init()
+    top = np.maximum if batch else max
 
     n_terms = cfg.em_terms
     order = EM_BERNOULLI_ORDER // 2
@@ -165,24 +195,34 @@ def hurwitz_zeta_with_error(s: complex, a, cfg: SpecFunConfig = DEFAULT_SPECFUN)
     near = np.flatnonzero(arr < n_terms)
     w = arr.copy()
     w[near] += n_terms
-    value = np.zeros(arr.shape, dtype=complex)
+    value = np.zeros(s.shape if batch else arr.shape, dtype=complex)
     k = np.arange(n_terms, dtype=float)
-    for lo in range(0, near.size, _HURWITZ_BLOCK):
-        rows = near[lo:lo + _HURWITZ_BLOCK]
-        value[rows] = np.exp(-s * np.log(arr[rows, None] + k)).sum(axis=1)
+    if not batch:
+        for lo in range(0, near.size, _HURWITZ_BLOCK):
+            rows = near[lo:lo + _HURWITZ_BLOCK]
+            value[rows] = np.exp(-s * np.log(arr[rows, None] + k)).sum(axis=1)
+    elif near.size:
+        # one a for every s: the logs are shared and the rows are the s
+        logs = np.log(arr + k)
+        for lo in range(0, s.size, _HURWITZ_BLOCK):
+            rows = slice(lo, lo + _HURWITZ_BLOCK)
+            value[rows] = np.exp(-s[rows, None] * logs).sum(axis=1)
 
     # Euler-Maclaurin tail from one complex power e = w^(-s) per point:
     # w^(1-s) = w e, and the Bernoulli powers w^(-s-2j+1) = e w^(1-2j) step
     # down by the real 1/w^2, so the corrections
     # sum_j B_2j/(2j)! (s)_{2j-1} w^(-s-2j+1) are e/w times a polynomial in
     # 1/w^2, summed by Horner.  Rising factorial and factorial are updated
-    # incrementally.
+    # incrementally; for an array of s they are arrays over s, multiplied
+    # by _cmul so that each keeps the bits of its scalar s.
     coef = []
     poch = s
     fact = 1.0
     for j in range(1, order + 1):
         fact *= (2 * j) * (2 * j - 1)
-        if j > 1:
+        if j > 1 and batch:
+            poch = _cmul(poch, _cmul(s + 2 * j - 3, s + 2 * j - 2))
+        elif j > 1:
             poch *= (s + 2 * j - 3) * (s + 2 * j - 2)
         coef.append(_bernoulli_table[2 * j] / fact * poch)
     inv_w = 1.0 / w
@@ -194,34 +234,40 @@ def hurwitz_zeta_with_error(s: complex, a, cfg: SpecFunConfig = DEFAULT_SPECFUN)
 
     # First omitted term, largest at the smallest w because its power
     # w^(-sigma-2M-1) falls with w.
-    poch_next = poch * (s + 2 * order - 1) * (s + 2 * order)
+    if batch:
+        poch_next = _cmul(_cmul(poch, s + 2 * order - 1), s + 2 * order)
+    else:
+        poch_next = poch * (s + 2 * order - 1) * (s + 2 * order)
     fact_next = fact * (2 * order + 2) * (2 * order + 1)
-    sigma_shift = s.real + 2 * order + 1
-    if sigma_shift <= 0:
+    if re_min + 2 * order + 1 <= 0:
         raise ConvergenceError("Euler-Maclaurin remainder bound unavailable: "
                                "sigma + 2M + 1 <= 0")
-    kappa = max(1.0, abs(s + 2 * order + 1) / sigma_shift)
-    truncation = (abs(_bernoulli_table[2 * order + 2] / fact_next) * abs(poch_next) * kappa
-                  * float(w.min()) ** (-sigma_shift))
+    sigma_shift = s.real + 2 * order + 1
+    kappa = abs(s + 2 * order + 1) / sigma_shift  # >= 1, as |z| >= Re z
+    each = (abs(_bernoulli_table[2 * order + 2] / fact_next) * abs(poch_next) * kappa
+            * float(w.min()) ** (-sigma_shift))
+    truncation = float(each.max()) if batch else each
     if truncation > TARGET_ABS_TOL:
+        s_worst = s[np.argmax(each)] if batch else s
         raise ConvergenceError(
             f"Euler-Maclaurin tail estimate {truncation:.3e} exceeds target "
-            f"{TARGET_ABS_TOL:.3e} for s={s}; raise em_terms or the order"
+            f"{TARGET_ABS_TOL:.3e} for s={s_worst}; raise em_terms or the order"
         )
     # Rounding floor: each power carries a phase error ~ eps |s| log(base)
-    # scaled by the largest term magnitude.  Unlike the truncation this is
-    # not reducible by em_terms, so it widens the reported bound but does
-    # not trip the convergence gate.
+    # scaled by the largest term magnitude (the first term at sigma >= 0,
+    # the last explicit one below).  Unlike the truncation this is not
+    # reducible by em_terms, so it widens the reported bound but does not
+    # trip the convergence gate.
     amin, amax = float(arr.min()), float(arr.max())
     sigma = s.real
-    peak = amin ** (-sigma) if sigma >= 0 else (n_terms - 1 + amax) ** (-sigma)
-    peak = max(peak, (n_terms + amax) ** (1.0 - sigma) / abs(s - 1.0),
-               float(np.abs(value).max()))
+    peak = top(top(amin ** (-sigma), (n_terms - 1 + amax) ** (-sigma)),
+               top((n_terms + amax) ** (1.0 - sigma) / abs(s - 1.0),
+                   float(np.abs(value).max())))
     phase = abs(s) * math.log(n_terms + amax)
     rounding = 4.0 * np.finfo(float).eps * (1.0 + phase) * peak
-    bound = truncation + rounding
+    bound = truncation + (float(rounding.max()) if batch else rounding)
     _require_finite(value, "hurwitz_zeta")
-    if scalar:
+    if scalar and not batch:
         return complex(value[0]), bound
     return value, bound
 
@@ -241,7 +287,11 @@ def _riemann_zeta_cached(s: complex, cfg: SpecFunConfig) -> complex:
 
 
 def riemann_zeta(s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN) -> complex:
-    """Riemann zeta(s) = zeta(s, 1), same accuracy contract as hurwitz_zeta."""
+    """Riemann zeta(s) = zeta(s, 1), same accuracy contract as hurwitz_zeta.
+
+    Scalar s only, cached.  For many s, ``hurwitz_zeta(s_array, 1.0)`` is
+    one call and gives each point these same bits.
+    """
     s = complex(s)
     if s == 1:
         raise PoleError("riemann zeta has a pole at s = 1")
@@ -338,26 +388,41 @@ def euler_gamma() -> float:
     return out
 
 
-def riemann_siegel_theta(t: float, cfg: SpecFunConfig = DEFAULT_SPECFUN) -> float:
-    """Riemann-Siegel theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi."""
-    return complex(log_gamma(0.25 + 0.5j * t, cfg)).imag - 0.5 * t * math.log(math.pi)
+def riemann_siegel_theta(t, cfg: SpecFunConfig = DEFAULT_SPECFUN):
+    """Riemann-Siegel theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi.
+
+    t is a scalar or a 1-D array; the result matches its shape.
+    """
+    arr = np.asarray(t, dtype=float)
+    ts = np.atleast_1d(arr)
+    theta = log_gamma(0.25 + 0.5j * ts, cfg).imag - 0.5 * ts * math.log(math.pi)
+    return float(theta[0]) if arr.ndim == 0 else theta
 
 
-def hardy_z(t: float, cfg: SpecFunConfig = DEFAULT_SPECFUN) -> float:
+def hardy_z(t, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     """Hardy Z function Z(t) = e^{i theta(t)} zeta(1/2 + it), real for real t.
 
-    Sign changes of Z locate critical-line zeros of zeta.  The residual
-    imaginary part must stay below 1e-9 (asserted, then discarded); accuracy
-    is ~1e-8 for t <= 100 with default settings.
+    t is a scalar or a 1-D array; an array is one Euler-Maclaurin call over
+    zeta(1/2 + it), and each value has the bits of the scalar Z(t).  Sign
+    changes of Z locate critical-line zeros of zeta.  Every t must be
+    >= 0, and every residual imaginary part must stay below 1e-9 (asserted,
+    then discarded); accuracy is ~1e-8 for t <= 100 with default settings.
     """
-    t = float(t)
-    if t < 0:
+    arr = np.asarray(t, dtype=float)
+    ts = np.atleast_1d(arr)
+    if np.any(ts < 0):
         raise DomainError("hardy_z requires t >= 0")
-    theta = riemann_siegel_theta(t, cfg)
-    value = cmath.exp(1j * theta) * riemann_zeta(0.5 + 1j * t, cfg)
-    if abs(value.imag) >= 1e-9:
+    theta = riemann_siegel_theta(ts, cfg)
+    s = 0.5 + 1j * ts
+    # a single t (a bisection down to one bracket) takes the scalar kernel,
+    # which gives the same bits at a fraction of an array's overhead
+    zeta = hurwitz_zeta(s if s.size > 1 else complex(s[0]), 1.0, cfg)
+    value = _cmul(np.exp(1j * theta), zeta)
+    off = np.flatnonzero(np.abs(value.imag) >= 1e-9)
+    if off.size:
+        i = off[0]
         raise ConvergenceError(
-            f"hardy_z imaginary residue {value.imag:.3e} at t={t}; "
+            f"hardy_z imaginary residue {value.imag[i]:.3e} at t={ts[i]}; "
             "the rotation by theta(t) failed to realign zeta"
         )
-    return value.real
+    return float(value.real[0]) if arr.ndim == 0 else value.real

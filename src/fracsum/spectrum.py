@@ -31,7 +31,7 @@ from .core import (
 )
 from .errors import DomainError, PoleError
 from .operators import DEFAULT_OPERATOR, OperatorConfig, apply_R
-from .specfun import DEFAULT_SPECFUN, SpecFunConfig, hardy_z, riemann_zeta
+from .specfun import DEFAULT_SPECFUN, SpecFunConfig, hardy_z, hurwitz_zeta, riemann_zeta
 
 #: |Im(lambda)| below which an eigenvalue counts as real
 REALITY_TOL = 1e-9
@@ -145,17 +145,24 @@ def eigen_residual(s: complex, cfg: OperatorConfig = DEFAULT_OPERATOR,
     )
 
 
-def _bisect_zero(za: float, a: float, b: float, cfg: SpecFunConfig,
-                 width: float) -> tuple[float, tuple[float, float]]:
-    fa = za
-    while b - a > width:
-        mid = 0.5 * (a + b)
+def _bisect_zero(za: np.ndarray, a: np.ndarray, b: np.ndarray, cfg: SpecFunConfig,
+                 width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bisect the brackets [a, b], with Z(a) = za, in lock-step below ``width``.
+
+    Each round is one hardy_z call on the midpoints of the brackets still
+    wider than ``width``, and each bracket takes the sign decisions it
+    would take alone.  Returns the final midpoints and bracket ends.
+    """
+    fa, a, b = (np.array(v, dtype=float) for v in (za, a, b))
+    while True:
+        live = np.flatnonzero(b - a > width)
+        if not live.size:
+            return 0.5 * (a + b), a, b
+        mid = 0.5 * (a[live] + b[live])
         fm = hardy_z(mid, cfg)
-        if fa * fm <= 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b), (a, b)
+        left = fa[live] * fm <= 0.0
+        b[live[left]] = mid[left]
+        a[live[~left]], fa[live[~left]] = mid[~left], fm[~left]
 
 
 def find_critical_zeros(t_min: float, t_max: float,
@@ -163,13 +170,13 @@ def find_critical_zeros(t_min: float, t_max: float,
                         grid_step: float = _GRID_STEP) -> list[ZetaZero]:
     """All zeros of zeta(1/2 + it) with t in (t_min, t_max), by Hardy Z.
 
-    Samples Z on a grid of the given step, brackets every sign change, and
-    bisects each bracket below 1e-9 width.  Sign changes give certified
-    brackets, unlike |zeta| minimisation which can graze a minimum; the
-    0.05 default step is well below the minimal gap (~1.0) between
-    consecutive zeros with t < 100, so none is skipped.  Returns zeros in
-    increasing t with consecutive indices starting at 1; an empty range is
-    a normal result, not an error.
+    Samples Z on a grid of the given step in one hardy_z call, brackets
+    every sign change, and bisects all brackets in lock-step below 1e-9
+    width.  Sign changes give certified brackets, unlike |zeta|
+    minimisation which can graze a minimum; the 0.05 default step is well
+    below the minimal gap (~1.0) between consecutive zeros with t < 100, so
+    none is skipped.  Returns zeros in increasing t with consecutive
+    indices starting at 1; an empty range is a normal result, not an error.
     """
     t_min, t_max = float(t_min), float(t_max)
     if not 0.0 <= t_min < t_max:
@@ -180,20 +187,22 @@ def find_critical_zeros(t_min: float, t_max: float,
     ts = t_min + grid_step * np.arange(count + 1)
     if ts[-1] < t_max:  # cover the final partial cell
         ts = np.append(ts, t_max)
-    zvals = [hardy_z(float(t), cfg) for t in ts]
+    zvals = hardy_z(ts, cfg)
+
+    # a grid point exactly on a zero is the zero, with bracket (t, t); a
+    # strict sign change across a cell is bisected
+    on_zero = zvals[:-1] == 0.0
+    change = ~on_zero & (zvals[:-1] * zvals[1:] < 0.0)
+    t, lo, hi = ts[:-1].copy(), ts[:-1].copy(), ts[:-1].copy()
+    t[change], lo[change], hi[change] = _bisect_zero(
+        zvals[:-1][change], ts[:-1][change], ts[1:][change], cfg, _BISECT_WIDTH)
 
     zeros = []
-    for i in range(len(ts) - 1):
-        a, b = float(ts[i]), float(ts[i + 1])
-        if zvals[i] == 0.0:  # grid point exactly on a zero
-            t, bracket = a, (a, a)
-        elif zvals[i] * zvals[i + 1] < 0.0:
-            t, bracket = _bisect_zero(zvals[i], a, b, cfg, _BISECT_WIDTH)
-        else:
-            continue
-        residual = abs(riemann_zeta(0.5 + 1j * t, cfg))
-        zeros.append(ZetaZero(index=len(zeros) + 1, t=t, residual=residual,
-                              bracket=bracket))
+    for i in np.flatnonzero(on_zero | change):
+        ti = float(t[i])
+        residual = abs(riemann_zeta(0.5 + 1j * ti, cfg))
+        zeros.append(ZetaZero(index=len(zeros) + 1, t=ti, residual=residual,
+                              bracket=(float(lo[i]), float(hi[i]))))
     return zeros
 
 
@@ -241,8 +250,10 @@ def scan_s_plane(re_range: tuple[float, float], im_range: tuple[float, float],
     The grid must sit in Re(s) > 0 (outside that the candidates leave the
     operator domain and the sweep is meaningless).  Cells within 1e-3 of
     s = 1 are emitted with flag "pole"; any other per-cell failure becomes
-    flag "error:<type>" without aborting the scan.  Ordering is im-major
-    (im outer, re inner) and deterministic.
+    flag "error:<type>" without aborting the scan.  Each row of fixed Im(s)
+    is one zeta call over its cells off the pole; a row whose call raises
+    is evaluated again cell by cell, so each cell keeps its own flag.
+    Ordering is im-major (im outer, re inner) and deterministic.
     """
     re0, re1 = float(re_range[0]), float(re_range[1])
     im0, im1 = float(im_range[0]), float(im_range[1])
@@ -254,20 +265,31 @@ def scan_s_plane(re_range: tuple[float, float], im_range: tuple[float, float],
         raise DomainError("need at least one grid point per axis")
     res = np.linspace(re0, re1, n_re)
     ims = np.linspace(im0, im1, n_im)
-    points = [complex(r, i) for i in ims for r in res]
 
-    def cell(s: complex) -> ScanCell:
+    def cell(s: complex, z: Optional[complex]) -> ScanCell:
         lam = eigenvalue_of(s)
         real = abs(lam.imag) < REALITY_TOL
         if abs(s - 1.0) < _POLE_RADIUS:
             return ScanCell(s, math.nan, math.nan, lam, real, "pole")
         try:
-            z = riemann_zeta(s, cfg)
+            if z is None:
+                z = riemann_zeta(s, cfg)
             return ScanCell(s, abs(z), abs((s - 1.0) * z), lam, real, "ok")
         except Exception as exc:  # per-cell isolation, scan must not abort
             return ScanCell(s, math.nan, math.nan, lam, real, f"error:{type(exc).__name__}")
 
-    return [cell(s) for s in points]
+    cells = []
+    for i in ims:
+        row = [complex(r, i) for r in res]
+        todo = [s for s in row if abs(s - 1.0) >= _POLE_RADIUS]
+        try:
+            # one Euler-Maclaurin call per row: zeta(s) = zeta(s, 1)
+            zs = hurwitz_zeta(np.array(todo), 1.0, cfg) if todo else ()
+            zeta_at = {s: complex(z) for s, z in zip(todo, zs)}
+        except Exception:  # one failing point fails the row: redo it per cell
+            zeta_at = {}
+        cells.extend(cell(s, zeta_at.get(s)) for s in row)
+    return cells
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,13 @@ def test_hurwitz_vectorized_matches_scalar():
     vec = hurwitz_zeta(s, a)
     for i, ai in enumerate(a):
         assert vec[i] == hurwitz_zeta(s, float(ai))
+    # an array of s at one a takes the same kernel, so each point keeps the
+    # bits of its scalar call: a scan row of 41 points at Im s = 20.05
+    row = np.linspace(0.11, 0.91, 41) + 20.05j
+    vec = hurwitz_zeta(row, 1.0)
+    assert vec.shape == row.shape
+    for i, si in enumerate(row):
+        assert vec[i] == hurwitz_zeta(complex(si), 1.0) == riemann_zeta(complex(si))
 
 
 @pytest.mark.parametrize("blocks", [1, 2])
@@ -317,6 +324,24 @@ def test_hardy_z_imaginary_residue_small_on_grid():
 def test_hardy_z_domain():
     with pytest.raises(DomainError):
         hardy_z(-0.1)
+    # the t >= 0 check holds for every point of an array
+    with pytest.raises(DomainError):
+        hardy_z([1.0, -0.5])
+
+
+def test_hardy_z_batch_matches_scalar():
+    # one call over the grid gives each t the bits of its scalar call and of
+    # the rotation e^{i theta} zeta(1/2 + it) done in Python complex arithmetic
+    ts = np.linspace(0.0119, 100.0, 301)
+    batch = hardy_z(ts)
+    assert batch.shape == ts.shape
+    assert batch.tobytes() == np.array([hardy_z(float(t)) for t in ts]).tobytes()
+    for t, z in zip(ts, batch):
+        t = float(t)
+        rotated = cmath.exp(1j * riemann_siegel_theta(t)) * riemann_zeta(0.5 + 1j * t)
+        assert z == rotated.real
+    assert riemann_siegel_theta(ts).tobytes() == \
+        np.array([riemann_siegel_theta(float(t)) for t in ts]).tobytes()
 
 
 # ------------------------------------------------------------------ config

@@ -15,9 +15,11 @@ from fracsum import (
     find_critical_zeros,
     frac_power,
     half_shift_norm,
+    hardy_z,
     riemann_zeta,
     scan_s_plane,
 )
+from fracsum import spectrum
 from oracles import alt_series_zeta
 
 # classical ordinates, used only as coarse anchors (1e-6)
@@ -153,6 +155,33 @@ def test_zero_finder_covers_partial_final_cell():
     assert abs(zeros[0].t - T1) < 1e-6
 
 
+def test_lock_step_bisection_brackets_every_zero():
+    # all brackets are bisected together; each must still hold its zero, be
+    # at most 1e-9 wide and keep a sign change of Z across its ends
+    zeros = find_critical_zeros(0.0119, 100.0)
+    assert len(zeros) == 29
+    for z in zeros:
+        lo, hi = z.bracket
+        assert lo <= z.t <= hi
+        assert hi - lo <= 1e-9
+        assert hardy_z(lo) * hardy_z(hi) <= 0.0
+
+
+def test_zero_finder_exact_grid_zero_and_partial_cell(monkeypatch):
+    # a stand-in Z that is exactly 0 at the grid point 14.0 and changes sign
+    # inside the final partial cell (14.3, 14.33)
+    def fake_z(t, cfg):
+        t = np.asarray(t, dtype=float)
+        return (t - 14.0) * (t - 14.32)
+
+    monkeypatch.setattr(spectrum, "hardy_z", fake_z)
+    zeros = find_critical_zeros(13.0, 14.33)
+    assert [z.index for z in zeros] == [1, 2]
+    assert zeros[0].t == 14.0 and zeros[0].bracket == (14.0, 14.0)
+    lo, hi = zeros[1].bracket
+    assert 14.3 <= lo <= 14.32 <= hi <= 14.33 and hi - lo <= 1e-9
+
+
 # -------------------------------------------------------- boundary report
 
 def test_boundary_identity_at_s2():
@@ -243,6 +272,15 @@ def test_scan_isolates_per_cell_failures():
     assert all(c.flag == "error:ConvergenceError" for c in cells)
     assert all(math.isnan(c.abs_zeta) for c in cells)
     assert all(c.lam == eigenvalue_of(c.s) for c in cells)
+
+
+def test_scan_row_with_failing_and_good_cells():
+    # at Im s = 120 the tail gate refuses Re(s) < ~1 and accepts the rest, so
+    # the row's one zeta call raises and its cells are evaluated one by one
+    cells = scan_s_plane((0.1, 3.0), (120.0, 120.0), 30, 1)
+    assert [c.flag for c in cells] == ["error:ConvergenceError"] * 9 + ["ok"] * 21
+    for c in cells[9:]:
+        assert c.abs_zeta == abs(riemann_zeta(c.s))
 
 
 def test_scan_rejects_left_half_plane():
