@@ -132,9 +132,13 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 def _cmul(x, y):
     """x * y over complex arrays, by CPython's complex product formula.
 
-    numpy's complex multiply may fuse a multiply-add, so its last bit can
-    differ from a Python complex product; the real arithmetic spelled out
-    keeps each point of an array of s or t on the bits of its scalar call.
+    numpy's complex multiply may fuse a multiply-add, and the loop it takes
+    depends on the arrays (temporaries of 256 KB and up are multiplied in
+    place), so its last bit can differ from a Python complex product and
+    from one array to another; the real arithmetic spelled out keeps each
+    point of an array of s or t on the bits of its scalar call.  With
+    numpy's product in the Pochhammer coefficients, 12 values of a
+    20000-point zeta(1/2 + it) grid changed their last bit (AVX-512 host).
     """
     out = np.empty(np.broadcast(x, y).shape, dtype=complex)
     out.real = x.real * y.real - x.imag * y.imag
@@ -233,11 +237,9 @@ def hurwitz_zeta_with_error(s, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     value += np.exp(-s * np.log(w)) * (w / (s - 1) + 0.5 + series * inv_w)
 
     # First omitted term, largest at the smallest w because its power
-    # w^(-sigma-2M-1) falls with w.
-    if batch:
-        poch_next = _cmul(_cmul(poch, s + 2 * order - 1), s + 2 * order)
-    else:
-        poch_next = poch * (s + 2 * order - 1) * (s + 2 * order)
+    # w^(-sigma-2M-1) falls with w.  It only sizes the bound, so numpy's
+    # product may change its last bit.
+    poch_next = poch * (s + 2 * order - 1) * (s + 2 * order)
     fact_next = fact * (2 * order + 2) * (2 * order + 1)
     if re_min + 2 * order + 1 <= 0:
         raise ConvergenceError("Euler-Maclaurin remainder bound unavailable: "
@@ -248,10 +250,13 @@ def hurwitz_zeta_with_error(s, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
             * float(w.min()) ** (-sigma_shift))
     truncation = float(each.max()) if batch else each
     if truncation > TARGET_ABS_TOL:
-        s_worst = s[np.argmax(each)] if batch else s
+        at, s_at = truncation, s
+        if batch:  # the first point that misses, as scalar calls in order would
+            i = int(np.argmax(each > TARGET_ABS_TOL))
+            at, s_at = float(each[i]), complex(s[i])
         raise ConvergenceError(
-            f"Euler-Maclaurin tail estimate {truncation:.3e} exceeds target "
-            f"{TARGET_ABS_TOL:.3e} for s={s_worst}; raise em_terms or the order"
+            f"Euler-Maclaurin tail estimate {at:.3e} exceeds target "
+            f"{TARGET_ABS_TOL:.3e} for s={s_at}; raise em_terms or the order"
         )
     # Rounding floor: each power carries a phase error ~ eps |s| log(base)
     # scaled by the largest term magnitude (the first term at sigma >= 0,

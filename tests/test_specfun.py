@@ -112,20 +112,33 @@ def test_hurwitz_vectorized_matches_scalar():
     assert vec.shape == row.shape
     for i, si in enumerate(row):
         assert vec[i] == hurwitz_zeta(complex(si), 1.0) == riemann_zeta(complex(si))
+    # 20000 points is past the 256 KB at which numpy multiplies temporaries
+    # in place, with a loop whose complex product may differ in the last bit
+    # from the small-array one; checked where the tail terms weigh most
+    line = 0.5 + 1j * np.linspace(0.0119, 100.0, 20000)
+    upper = slice(12000, None)  # t >= 60
+    vec = hurwitz_zeta(line, 1.0)[upper]
+    assert vec.tobytes() == np.array([hurwitz_zeta(complex(si), 1.0)
+                                      for si in line[upper]]).tobytes()
 
 
 @pytest.mark.parametrize("blocks", [1, 2])
 def test_hurwitz_blocks_are_bitwise_equal_to_two_wide_slices(blocks):
-    # B+1 and 2B+1 points leave one point past the last full block; each
-    # value must keep the bits it has in a two-point array
+    # B+1 and 2B+1 points, every one with a < em_terms so that all take the
+    # blocked explicit sum, leave one point past the last full block; each
+    # value must keep the bits it has in a two-point array, for an array of
+    # a and for an array of s
     size = blocks * specfun._HURWITZ_BLOCK + 1
-    a = np.linspace(0.05, 400.0, size)
     s = 0.5 + 14.1347j
-    whole = hurwitz_zeta(s, a)
-    sliced = np.empty(size, dtype=complex)
-    for j in list(range(0, size - 1, 2)) + [size - 2]:
-        sliced[j:j + 2] = hurwitz_zeta(s, a[j:j + 2])
-    assert whole.tobytes() == sliced.tobytes()
+    a = np.linspace(0.05, 49.9, size)
+    row = 0.5 + 1j * np.linspace(0.0119, 100.0, size)
+    for call in (lambda part: hurwitz_zeta(s, a[part]),
+                 lambda part: hurwitz_zeta(row[part], 1.0)):
+        whole = call(slice(None))
+        sliced = np.empty(size, dtype=complex)
+        for j in list(range(0, size - 1, 2)) + [size - 2]:
+            sliced[j:j + 2] = call(slice(j, j + 2))
+        assert whole.tobytes() == sliced.tobytes()
 
 
 def test_hurwitz_rejects_pole_and_bad_a():
@@ -360,3 +373,20 @@ def test_tail_outside_validity_raises():
     for a in (60.0, np.array([1.0, 60.0, 500.0])):
         with pytest.raises(ConvergenceError):
             hurwitz_zeta_with_error(0.5 + 300j, a)
+
+
+def test_failing_batch_names_first_failing_point():
+    # an array call that trips the tail gate reports the s and the estimate
+    # that the first failing call of a loop of scalar calls would report
+    cfg = SpecFunConfig(em_terms=10)
+    ts = np.linspace(0.0119, 100.0, 301)
+    with pytest.raises(ConvergenceError) as batch:
+        hardy_z(ts, cfg)
+    messages = []
+    for t in ts:
+        try:
+            hardy_z(float(t), cfg)
+        except ConvergenceError as exc:
+            messages.append(str(exc))
+    assert len(messages) > 1  # so the first failing t is not the worst one
+    assert str(batch.value) == messages[0]
