@@ -58,6 +58,7 @@ from .core import (
     frac_power_fn,
     fractional_sum_derivative,
     fractional_sum_limit,
+    fractional_sum_limits,
     half_difference,
     linear_combination,
     log_fn,
@@ -105,8 +106,9 @@ __all__ = [
     "FlatnessReport", "FlatnessSample", "FracSumResult", "SummationConfig",
     "const_fn", "flatness_probe", "forward_difference", "frac_power",
     "frac_power_derivative", "frac_power_fn", "fractional_sum_derivative",
-    "fractional_sum_limit", "half_difference", "linear_combination", "log_fn",
-    "pointwise_fn", "power_fn", "sin_2pi_fn", "sum_log",
+    "fractional_sum_limit", "fractional_sum_limits", "half_difference",
+    "linear_combination", "log_fn", "pointwise_fn", "power_fn", "sin_2pi_fn",
+    "sum_log",
     "DEFAULT_OPERATOR", "PROBE_GRID", "OperatorConfig", "apply_R", "apply_X",
     "apply_p", "apply_x_mult", "continuum_dilation",
     "EIGEN_TOL", "REALITY_TOL", "BoundaryReport", "EigenCandidate",

@@ -23,6 +23,15 @@ epsilon algorithm.  The limit exists for asymptotically flat f
 (``flatness_probe`` classifies this) and reproduces the ordinary finite sum
 at integer x.  S_n is analytic in x, so the same loop also takes the
 derivative under the limit, lim_n [f(n) - sum_{v=1}^{n} f'(v+x0)].
+
+``fractional_sum_limits`` runs the limits of many x in lock-step, one per
+distinct x0 (0.5, 1.5 and 2.5 share one).  Each schedule step evaluates
+f at the integer nodes and the edge f(n) once for all of them, and the
+shifted nodes of every running limit in one call per group of whole rows;
+a limit leaves the batch when it converges.  A group holds at most
+_ROW_BLOCK points and a longer row is evaluated alone, because numpy
+multiplies complex temporaries of 16384 points and up in place, by a loop
+whose last bit may differ: so each limit keeps the bits it has alone.
 """
 
 from __future__ import annotations
@@ -331,51 +340,77 @@ def _wynn(partials: list[complex]) -> complex:
     return best
 
 
-def _limit(terms: Callable, edge: Callable, cfg: SummationConfig,
-           what: str) -> FracSumResult:
-    """lim_n [edge(n) + sum_{v=1}^{n} terms(v)] along the index schedule.
+#: most points per integrand call when the rows of several limits share it
+_ROW_BLOCK = 4096
 
-    The partial values are extrapolated by ``_wynn`` after each step, and
-    the schedule doubles up to cfg.max_n while the last two extrapolants
-    disagree by more than abs_tol.
+
+def _row_sums(g: Callable, x0s: list[float], v: np.ndarray,
+              shared: Optional[np.ndarray]) -> list[complex]:
+    """Per x0, the sum over v of shared - g(x0 + v), or of -g(x0 + v) when
+    shared is None.  g runs on whole rows: at most _ROW_BLOCK points per
+    call, or one longer row alone (see the module docstring)."""
+    per = max(1, _ROW_BLOCK // v.size)
+    out: list[complex] = []
+    for i in range(0, len(x0s), per):
+        vals = g(np.add.outer(x0s[i:i + per], v).ravel()).reshape(-1, v.size)
+        out += (-vals if shared is None else shared - vals).sum(axis=1).tolist()
+    return out
+
+
+def fractional_sum_limits(f: EvalFn, xs: Sequence[float],
+                          cfg: SummationConfig = DEFAULT_SUMMATION,
+                          derivative: bool = False) -> list[FracSumResult]:
+    """sum_{v=1}^{x} f(v), or its x-derivative, at each x > -1, in lock-step.
+
+    Each x gives, to the bit, what its limit gives when run on its own:
+    every limit keeps its own partial values, ``_wynn`` and stopping step.  No limit runs at x0 = 0 for the value, where the shift
+    is the whole sum.  In strict mode the first x, in order, whose limit
+    did not converge raises ConvergenceError.
     """
-    partials: list[complex] = []
-    estimates: list[complex] = []
-    err = math.inf
-    running = 0.0 + 0.0j
-    prev_n = 0
-    n = cfg.n0
-    while True:
-        running += complex(np.sum(terms(np.arange(prev_n + 1.0, n + 0.5))))
-        partials.append(complex(edge(float(n))) + running)
-        prev_n = n
-        if len(partials) >= 3:
-            estimates.append(_wynn(partials))
-            if len(estimates) >= 2:
-                err = abs(estimates[-1] - estimates[-2])
-        scheduled = len(partials) >= SCHEDULE_LEN
-        converged = err <= cfg.abs_tol
-        if (scheduled and converged) or 2 * n > cfg.max_n:
-            break
-        n *= 2
-
-    if cfg.strict and not converged:
-        raise ConvergenceError(
-            f"{what} stalled at err ~ {err:.3e} "
-            f"(abs_tol {cfg.abs_tol:.1e}, n up to {prev_n})"
-        )
-    return FracSumResult(estimates[-1], float(err), prev_n, converged)
-
-
-def _reduce(f: EvalFn, x: float) -> tuple[float, np.ndarray]:
-    """x0 in (-1, 1) with x - x0 a whole number, and the nodes x0+1, ..., x."""
-    x = float(x)
-    if x <= -1.0:
-        raise DomainError(f"fractional sums are defined for x > -1, got {x}")
+    for x in xs:
+        if float(x) <= -1.0:
+            raise DomainError(f"fractional sums are defined for x > -1, got {float(x)}")
     if f.domain_lo > 0.0:
         raise DomainError("summand must be defined on all of (0, inf)")
-    x0 = x - math.floor(x) if x >= 1.0 else x
-    return x0, x0 + np.arange(1.0, x - x0 + 0.5)
+    g = f.derivative if derivative else f
+    x0s = [float(x) - math.floor(x) if x >= 1.0 else float(x) for x in xs]
+    nodes = [x0 + np.arange(1.0, float(x) - x0 + 0.5) for x, x0 in zip(xs, x0s)]
+    shifts = [complex(np.sum(g(at))) if at.size else 0j for at in nodes]
+
+    # per running limit: its partial values and extrapolants
+    live = {x0: ([], []) for x0 in x0s if derivative or x0 != 0.0}
+    running = dict.fromkeys(live, 0j)
+    done: dict[float, FracSumResult] = {}
+    prev_n, n = 0, cfg.n0
+    while live:
+        v = np.arange(prev_n + 1.0, n + 0.5)
+        sums = _row_sums(g, list(live), v, None if derivative else f(v))
+        edge = f(float(n))
+        for (x0, (p, e)), total in zip(list(live.items()), sums):
+            running[x0] += complex(total)
+            p.append(complex(edge if derivative else x0 * edge) + running[x0])
+            if len(p) >= 3:
+                e.append(_wynn(p))
+            err = abs(e[-1] - e[-2]) if len(e) >= 2 else math.inf
+            if (len(p) >= SCHEDULE_LEN and err <= cfg.abs_tol) or 2 * n > cfg.max_n:
+                done[x0] = FracSumResult(e[-1], float(err), n, err <= cfg.abs_tol)
+                del live[x0]
+        prev_n, n = n, 2 * n
+
+    what = "derivative of the fractional sum" if derivative else "fractional sum"
+    out = []
+    for x, x0, shift, at in zip(xs, x0s, shifts, nodes):
+        if x0 not in done:
+            out.append(FracSumResult(shift, 0.0, at.size, True))
+            continue
+        res = done[x0]
+        if cfg.strict and not res.converged:
+            raise ConvergenceError(
+                f"{what} of {f.label or 'summand'} at x={x} stalled at err ~ "
+                f"{res.err_estimate:.3e} (abs_tol {cfg.abs_tol:.1e}, n up to {res.n_used})"
+            )
+        out.append(replace(res, value=res.value + shift))
+    return out
 
 
 def fractional_sum_limit(f: EvalFn, x: float,
@@ -384,16 +419,10 @@ def fractional_sum_limit(f: EvalFn, x: float,
 
     x >= 1 is reduced to x0 = x - floor(x), and f(x0+1) + ... + f(x) is
     added exactly.  At integer x that is the whole (exact) sum; otherwise
-    the limit of S_n(x0) = x0 f(n) + sum_{v=1}^n (f(v) - f(v+x0)) is taken
-    by ``_limit``.
+    the limit of S_n(x0) = x0 f(n) + sum_{v=1}^n (f(v) - f(v+x0)) is
+    taken.  The one-point entry of ``fractional_sum_limits``.
     """
-    x0, nodes = _reduce(f, x)
-    shift = complex(np.sum(f(nodes))) if nodes.size else 0j
-    if x0 == 0.0:
-        return FracSumResult(shift, 0.0, nodes.size, True)
-    res = _limit(lambda v: f(v) - f(v + x0), lambda n: x0 * f(n), cfg,
-                 f"fractional sum of {f.label or 'summand'} at x={x}")
-    return replace(res, value=res.value + shift)
+    return fractional_sum_limits(f, [x], cfg)[0]
 
 
 def fractional_sum_derivative(f: EvalFn, x: float,
@@ -401,13 +430,10 @@ def fractional_sum_derivative(f: EvalFn, x: float,
     """d/dx sum_{v=1}^{x} f(v) for x > -1, for f with an analytic derivative.
 
     The limit of dS_n/dx = f(n) - sum_{v=1}^n f'(v+x0), plus f'(x0+1) + ...
-    + f'(x) exactly, with x0 as in ``fractional_sum_limit``.
+    + f'(x) exactly, with x0 as in ``fractional_sum_limit``.  The one-point
+    entry of ``fractional_sum_limits``.
     """
-    x0, nodes = _reduce(f, x)
-    shift = complex(np.sum(f.derivative(nodes))) if nodes.size else 0j
-    res = _limit(lambda v: -f.derivative(v + x0), f, cfg,
-                 f"derivative of the fractional sum of {f.label or 'summand'} at x={x}")
-    return replace(res, value=res.value + shift)
+    return fractional_sum_limits(f, [x], cfg, derivative=True)[0]
 
 
 _S_ONE_EXACT = 1e-8   # at |s-1| below this, switch to the digamma branch

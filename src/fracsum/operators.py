@@ -25,8 +25,7 @@ from .core import (
     SummationConfig,
     flatness_probe,
     forward_difference,
-    fractional_sum_derivative,
-    fractional_sum_limit,
+    fractional_sum_limits,
     linear_combination,
 )
 from .errors import ConvergenceError, DomainError, OutOfRangeError
@@ -111,9 +110,11 @@ def apply_X(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
 
     By the empty-sum convention (X f)(0) = 0 exactly.  When f carries an
     analytic derivative, so does X f: the fractional sum's derivative,
-    taken under the limit.  In strict mode the integrand must pass the
-    flatness probe (checked lazily on first use); a not_flat
-    classification raises ConvergenceError.
+    taken under the limit.  An array of x is one lock-step batch of
+    limits, one per distinct x0, sharing the integer nodes and grouped by
+    whole rows (``core.fractional_sum_limits``).  In strict mode the
+    integrand must pass the flatness probe (checked lazily on first use,
+    before any limit); a not_flat classification raises ConvergenceError.
     """
     if f.domain_lo > -1.0:
         raise DomainError(f"apply_X needs a function on (-1, inf); got ({f.domain_lo}, inf)")
@@ -130,18 +131,21 @@ def apply_X(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
             )
         checked.append(True)
 
-    def pointwise(limit):
-        def at(x) -> complex:
+    def pointwise(derivative: bool):
+        def at(x):
             if cfg.sum_cfg.strict:
                 ensure_flat()
-            return limit(integrand, float(x), cfg.sum_cfg).value
+            xs = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
+            values = [r.value for r in
+                      fractional_sum_limits(integrand, xs, cfg.sum_cfg, derivative)]
+            return values[0] if np.ndim(x) == 0 else np.array(values)
 
-        return lambda x: at(x) if np.ndim(x) == 0 else np.array([at(v) for v in x])
+        return at
 
     dv = None
     if integrand.analytic_derivative is not None:
-        dv = pointwise(fractional_sum_derivative)
-    return EvalFn(-1.0, pointwise(fractional_sum_limit), dv, label=f"X[{f.label}]")
+        dv = pointwise(True)
+    return EvalFn(-1.0, pointwise(False), dv, label=f"X[{f.label}]")
 
 
 def apply_R(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:

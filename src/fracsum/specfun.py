@@ -155,8 +155,8 @@ def hurwitz_zeta_with_error(s, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     points of the first omitted Bernoulli correction, each at its own s and
     tail start w, times the standard |s+2M+1|/(sigma+2M+1) safety factor,
     plus the largest rounding floor.  The truncation gate fails the whole
-    call if any point misses the target.  ``hurwitz_zeta`` is the
-    value-only wrapper.
+    call if any point misses the target.  An empty array gives an empty
+    value and a zero bound.  ``hurwitz_zeta`` is the value-only wrapper.
 
     Only points with a < em_terms sum em_terms explicit terms (tail at
     w = a + em_terms); the rest start the tail at w = a.  The tail costs one
@@ -171,7 +171,7 @@ def hurwitz_zeta_with_error(s, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
         s = np.asarray(s, dtype=complex)
         if s.ndim != 1 or np.ndim(a) != 0:
             raise DomainError("an array of s needs a 1-D s and a scalar a")
-        pole, re_min = bool(np.any(s == 1)), float(s.real.min())
+        pole, re_min = bool(np.any(s == 1)), float(s.real.min(initial=math.inf))
     else:
         s = complex(s)
         pole, re_min = s == 1, s.real
@@ -183,6 +183,8 @@ def hurwitz_zeta_with_error(s, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
             f"Re(s) > {-2.0 * EM_BERNOULLI_ORDER}"
         )
     arr, scalar = _as_positive_array(a, "a")
+    if not (s.size if batch else arr.size):
+        return np.zeros(0, dtype=complex), 0.0
     if not _bernoulli_table:
         _bernoulli_init()
     top = np.maximum if batch else max
@@ -356,7 +358,7 @@ def log_gamma(z, cfg: SpecFunConfig = DEFAULT_SPECFUN):
         raise DomainError("log_gamma requires Re(z) > 0")
     if not _bernoulli_table:
         _bernoulli_init()
-    shift = max(0, int(math.ceil(10.0 - arr.real.min())))
+    shift = max(0, int(math.ceil(10.0 - arr.real.min(initial=10.0))))
     acc = np.zeros_like(arr)
     work = arr.copy()
     for _ in range(shift):
@@ -421,7 +423,7 @@ def hardy_z(t, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     s = 0.5 + 1j * ts
     # a single t (a bisection down to one bracket) takes the scalar kernel,
     # which gives the same bits at a fraction of an array's overhead
-    zeta = hurwitz_zeta(s if s.size > 1 else complex(s[0]), 1.0, cfg)
+    zeta = hurwitz_zeta(s if s.size != 1 else complex(s[0]), 1.0, cfg)
     value = _cmul(np.exp(1j * theta), zeta)
     off = np.flatnonzero(np.abs(value.imag) >= 1e-9)
     if off.size:

@@ -14,7 +14,9 @@ from fracsum import (
     EvalFn,
     FLAT,
     NOT_FLAT,
+    OperatorConfig,
     SummationConfig,
+    apply_x_mult,
     const_fn,
     euler_gamma,
     flatness_probe,
@@ -24,6 +26,7 @@ from fracsum import (
     frac_power_fn,
     fractional_sum_derivative,
     fractional_sum_limit,
+    fractional_sum_limits,
     half_difference,
     hurwitz_zeta,
     linear_combination,
@@ -35,6 +38,7 @@ from fracsum import (
     sin_2pi_fn,
     sum_log,
 )
+from fracsum.core import SCHEDULE_LEN, _wynn
 from oracles import richardson_diff
 
 PROBE = (0.5, 1.0, 2.0)
@@ -234,6 +238,88 @@ def test_fractional_sum_derivative_matches_closed_form():
             res = fractional_sum_derivative(power_fn(s), x)
             assert res.converged
             assert abs(res.value - frac_power_derivative(x, s)) < 1e-8
+
+
+def reference_limit(f, x, cfg, derivative):
+    """One point on its own: S_n along the schedule, then the package's _wynn."""
+    x0 = x - math.floor(x) if x >= 1.0 else x
+    nodes = x0 + np.arange(1.0, x - x0 + 0.5)
+    g = f.derivative if derivative else f
+    shift = complex(np.sum(g(nodes))) if nodes.size else 0j
+    if x0 == 0.0 and not derivative:
+        return shift, 0.0, nodes.size, True
+    partials, estimates, err, running, prev_n, n = [], [], math.inf, 0j, 0, cfg.n0
+    while True:
+        v = np.arange(prev_n + 1.0, n + 0.5)
+        if derivative:
+            running += complex(np.sum(-f.derivative(v + x0)))
+            partials.append(complex(f(float(n))) + running)
+        else:
+            running += complex(np.sum(f(v) - f(v + x0)))
+            partials.append(complex(x0 * f(float(n))) + running)
+        if len(partials) >= 3:
+            estimates.append(_wynn(partials))
+            if len(estimates) >= 2:
+                err = abs(estimates[-1] - estimates[-2])
+        prev_n = n
+        if (len(partials) >= SCHEDULE_LEN and err <= cfg.abs_tol) or 2 * n > cfg.max_n:
+            break
+        n *= 2
+    return estimates[-1] + shift, float(err), prev_n, err <= cfg.abs_tol
+
+
+def as_bytes(value, err, n_used, converged):
+    return np.array([value]).tobytes(), np.array([err]).tobytes(), n_used, converged
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+@pytest.mark.parametrize("case", ["sample_grid", "unconverged_long_rows"])
+def test_batch_limits_bitwise_equal_per_point_reference(case, derivative):
+    # the X integrand of x^[-s] on the default grid: 0.5, 1.5 and 2.5 share
+    # x0 = 0.5, 1, 5 and 10 are integers, -0.9 and -0.1 are negative.  v^0.9
+    # does not converge and runs to n = 131072, so its last rows hold 32768
+    # and 65536 points, past the size where numpy's complex multiply changes
+    # loop; its limits run alone on those rows and in groups below them
+    if case == "sample_grid":
+        f = apply_x_mult(forward_difference(frac_power_fn(0.5 + 14.134725141734693j)))
+        xs = OperatorConfig().sample_grid
+    else:
+        f, xs = power_fn(-0.9), (0.3, 0.5, 3.7, 12.9)
+    cfg = SummationConfig()
+    batch = fractional_sum_limits(f, xs, cfg, derivative)
+    assert len(batch) == len(xs)
+    for x, res in zip(xs, batch):
+        want = reference_limit(f, float(x), cfg, derivative)
+        assert as_bytes(res.value, res.err_estimate, res.n_used, res.converged) == \
+            as_bytes(*want), x
+    if case == "unconverged_long_rows" and not derivative:
+        assert not any(r.converged for r in batch)
+        assert {r.n_used for r in batch} == {cfg.max_n}
+
+
+def test_batch_strict_raises_first_failing_point_in_order():
+    # the per-point loop raised at the first x that failed, naming that x
+    cfg = SummationConfig(strict=True)
+    f = power_fn(-0.9)
+    with pytest.raises(ConvergenceError) as alone:
+        fractional_sum_limit(f, 3.7, cfg)
+    with pytest.raises(ConvergenceError) as batch:
+        fractional_sum_limits(f, [3.7, 0.5], cfg)
+    assert "at x=3.7 stalled" in str(batch.value)
+    assert str(batch.value) == str(alone.value)
+
+
+def test_batch_without_limits_or_shift_nodes():
+    # integers only: no limit runs; no x >= 1: no shift node is evaluated
+    f = power_fn(2.0)
+    exact = fractional_sum_limits(f, [1.0, 3.0, 0.0])
+    assert [r.value for r in exact] == pytest.approx([1.0, 1.25 + 1.0 / 9.0, 0.0], abs=1e-14)
+    assert [(r.err_estimate, r.n_used, r.converged) for r in exact] == \
+        [(0.0, 1, True), (0.0, 3, True), (0.0, 0, True)]
+    assert fractional_sum_limits(f, []) == []
+    shifted = fractional_sum_limits(f, [0.5, -0.5], derivative=True)
+    assert [r.value for r in shifted] == \
+        [fractional_sum_derivative(f, x).value for x in (0.5, -0.5)]
 
 
 # ------------------------------------------------------------ frac_power

@@ -162,6 +162,16 @@ def test_X_strict_rejects_not_flat():
         complex(xf(0.5))
 
 
+def test_X_strict_probe_runs_before_any_limit():
+    # a whole grid is one batch of limits, and the flatness probe still
+    # comes first: the error is the probe's verdict, not a stalled limit
+    cfg = OperatorConfig(sum_cfg=SummationConfig(strict=True, max_n=2048))
+    growing = EvalFn(-1.0, lambda x: np.asarray(x, dtype=float) ** 2 + 0j,
+                     label="x^2")
+    with pytest.raises(ConvergenceError, match="not_flat"):
+        apply_X(growing, cfg)(np.asarray(cfg.sample_grid))
+
+
 # ------------------------------------------------------------------- R
 
 def test_R_annihilates_constants_exactly():

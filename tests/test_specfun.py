@@ -141,6 +141,14 @@ def test_hurwitz_blocks_are_bitwise_equal_to_two_wide_slices(blocks):
         assert whole.tobytes() == sliced.tobytes()
 
 
+def test_hurwitz_empty_arrays_give_empty_results():
+    # an empty array of a or of s is an empty result with a zero bound
+    for s, a in ((0.5, np.array([])), (np.array([], dtype=complex), 1.0)):
+        value, bound = hurwitz_zeta_with_error(s, a)
+        assert value.shape == (0,) and value.dtype == complex and bound == 0.0
+        assert hurwitz_zeta(s, a).shape == (0,)
+
+
 def test_hurwitz_rejects_pole_and_bad_a():
     with pytest.raises(PoleError):
         hurwitz_zeta(1.0, 1.0)
@@ -340,6 +348,11 @@ def test_hardy_z_domain():
     # the t >= 0 check holds for every point of an array
     with pytest.raises(DomainError):
         hardy_z([1.0, -0.5])
+
+
+def test_hardy_z_of_empty_array_is_empty():
+    assert hardy_z(np.array([])).shape == (0,)
+    assert riemann_siegel_theta(np.array([])).shape == (0,)
 
 
 def test_hardy_z_batch_matches_scalar():
