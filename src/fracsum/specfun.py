@@ -8,7 +8,7 @@ corrections.  That keeps one code path and one error model for
 * ``riemann_zeta``     -- zeta(s) = zeta(s, 1)
 * ``digamma``          -- Psi(z), upward recurrence + asymptotic series
 * ``log_gamma``        -- principal branch of log Gamma(z) for Re(z) > 0
-* ``bernoulli_number`` -- B_k from the exact rational recurrence, cached
+* ``bernoulli_number`` -- B_k from a literal table of the exact rationals
 * ``euler_gamma``      -- the Euler-Mascheroni constant
 * ``riemann_siegel_theta``, ``hardy_z`` -- the real-valued detector for
   zeros of zeta on the critical line.
@@ -20,16 +20,14 @@ that is how ``hardy_z`` and the strip scan evaluate zeta over many ``s``
 at once.  A point's value has the same bits alone and in any array.
 ``riemann_zeta`` stays scalar and cached.
 
-All functions are pure; the only shared state is the write-once Bernoulli
-table, which is initialised under a lock before first use.
+All functions are pure; the only shared state is the constant Bernoulli
+table.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -76,41 +74,42 @@ class SpecFunConfig:
 
 DEFAULT_SPECFUN = SpecFunConfig()
 
-_bernoulli_lock = threading.Lock()
-_bernoulli_table: list[float] = []
-
-
-def _bernoulli_init() -> None:
-    # Exact rational recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0; floats from
-    # the naive floating recurrence lose all digits past k ~ 20 to
-    # cancellation, so the table is built in Fractions once and converted.
-    global _bernoulli_table
-    with _bernoulli_lock:
-        if _bernoulli_table:
-            return
-        table = [Fraction(1)]
-        for m in range(1, _BERNOULLI_MAX + 1):
-            acc = Fraction(0)
-            for j in range(m):
-                acc += math.comb(m + 1, j) * table[j]
-            table.append(-acc / (m + 1))
-        _bernoulli_table = [float(b) for b in table]
+# B_0 .. B_64 (B_k = 0 for odd k > 1): the exact rationals of the recurrence
+# sum_{j=0}^{m} C(m+1, j) B_j = 0, each rounded once to a float.  The naive
+# floating recurrence loses every digit past k ~ 20 to cancellation;
+# tests/test_specfun.py rebuilds the rationals and compares.
+_BERNOULLI = (
+    1.0, -0.5, 0.16666666666666666, 0.0,
+    -0.03333333333333333, 0.0, 0.023809523809523808, 0.0,
+    -0.03333333333333333, 0.0, 0.07575757575757576, 0.0,
+    -0.2531135531135531, 0.0, 1.1666666666666667, 0.0,
+    -7.092156862745098, 0.0, 54.971177944862156, 0.0,
+    -529.1242424242424, 0.0, 6192.123188405797, 0.0,
+    -86580.25311355312, 0.0, 1425517.1666666667, 0.0,
+    -27298231.067816094, 0.0, 601580873.9006424, 0.0,
+    -15116315767.092157, 0.0, 429614643061.1667, 0.0,
+    -13711655205088.332, 0.0, 488332318973593.2, 0.0,
+    -1.9296579341940068e+16, 0.0, 8.416930475736826e+17, 0.0,
+    -4.0338071854059454e+19, 0.0, 2.1150748638081993e+21, 0.0,
+    -1.2086626522296526e+23, 0.0, 7.500866746076964e+24, 0.0,
+    -5.038778101481069e+26, 0.0, 3.6528776484818122e+28, 0.0,
+    -2.849876930245088e+30, 0.0, 2.3865427499683627e+32, 0.0,
+    -2.1399949257225335e+34, 0.0, 2.0500975723478097e+36, 0.0,
+    -2.093800591134638e+38,
+)
 
 
 def bernoulli_number(k: int) -> float:
     """Bernoulli number B_k for even k in [0, 64] (and B_1 = -1/2).
 
-    Values come from the exact rational recurrence and are cached after the
-    first call, so the relative error is a single float rounding.
+    Each value is the exact rational rounded once to a float.
     """
     if k != int(k) or k < 0 or k > _BERNOULLI_MAX:
         raise OutOfRangeError(f"Bernoulli index must be an integer in [0, {_BERNOULLI_MAX}]")
     k = int(k)
     if k % 2 != 0 and k != 1:
         raise OutOfRangeError(f"odd Bernoulli numbers vanish for k > 1; got k={k}")
-    if not _bernoulli_table:
-        _bernoulli_init()
-    return _bernoulli_table[k]
+    return _BERNOULLI[k]
 
 
 def _as_positive_array(a, name: str) -> tuple[np.ndarray, bool]:
@@ -185,8 +184,6 @@ def hurwitz_zeta_with_error(s, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     arr, scalar = _as_positive_array(a, "a")
     if not (s.size if batch else arr.size):
         return np.zeros(0, dtype=complex), 0.0
-    if not _bernoulli_table:
-        _bernoulli_init()
     top = np.maximum if batch else max
 
     n_terms = cfg.em_terms
@@ -230,7 +227,7 @@ def hurwitz_zeta_with_error(s, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
             poch = _cmul(poch, _cmul(s + 2 * j - 3, s + 2 * j - 2))
         elif j > 1:
             poch *= (s + 2 * j - 3) * (s + 2 * j - 2)
-        coef.append(_bernoulli_table[2 * j] / fact * poch)
+        coef.append(_BERNOULLI[2 * j] / fact * poch)
     inv_w = 1.0 / w
     inv_w2 = inv_w * inv_w
     series = coef[-1]
@@ -248,7 +245,7 @@ def hurwitz_zeta_with_error(s, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
                                "sigma + 2M + 1 <= 0")
     sigma_shift = s.real + 2 * order + 1
     kappa = abs(s + 2 * order + 1) / sigma_shift  # >= 1, as |z| >= Re z
-    each = (abs(_bernoulli_table[2 * order + 2] / fact_next) * abs(poch_next) * kappa
+    each = (abs(_BERNOULLI[2 * order + 2] / fact_next) * abs(poch_next) * kappa
             * float(w.min()) ** (-sigma_shift))
     truncation = float(each.max()) if batch else each
     if truncation > TARGET_ABS_TOL:
@@ -325,8 +322,6 @@ def digamma(z, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     """
     del cfg  # accuracy is fixed by the shift threshold, kept for symmetry
     arr, shift, scalar = _shifted(z, 10.0, "digamma")
-    if not _bernoulli_table:
-        _bernoulli_init()
     acc = np.zeros_like(arr)
     work = arr.copy()
     for _ in range(shift):
@@ -336,7 +331,7 @@ def digamma(z, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     w2 = work * work
     wpow = w2.copy()
     for j in range(1, 9):
-        out -= _bernoulli_table[2 * j] / (2 * j * wpow)
+        out -= _BERNOULLI[2 * j] / (2 * j * wpow)
         wpow *= w2
     out += acc
     _require_finite(out, "digamma")
@@ -356,8 +351,6 @@ def log_gamma(z, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     arr = np.atleast_1d(arr)
     if np.any(arr.real <= 0.0):
         raise DomainError("log_gamma requires Re(z) > 0")
-    if not _bernoulli_table:
-        _bernoulli_init()
     shift = max(0, int(math.ceil(10.0 - arr.real.min(initial=10.0))))
     acc = np.zeros_like(arr)
     work = arr.copy()
@@ -369,7 +362,7 @@ def log_gamma(z, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     w2 = work * work
     wpow = work.copy()
     for j in range(1, 9):
-        out += _bernoulli_table[2 * j] / ((2 * j) * (2 * j - 1) * wpow)
+        out += _BERNOULLI[2 * j] / ((2 * j) * (2 * j - 1) * wpow)
         wpow *= w2
     out += acc
     _require_finite(out, "log_gamma")
@@ -383,14 +376,12 @@ def euler_gamma() -> float:
     Computed once as H_n - log n - 1/(2n) + sum_k B_2k/(2k n^2k) at n = 128,
     where the truncation is far below double precision.
     """
-    if not _bernoulli_table:
-        _bernoulli_init()
     n = 128
     h = math.fsum(1.0 / k for k in range(1, n + 1))
     out = h - math.log(n) - 0.5 / n
     npow = float(n * n)
     for j in range(1, 7):
-        out += _bernoulli_table[2 * j] / (2 * j * npow)
+        out += _BERNOULLI[2 * j] / (2 * j * npow)
         npow *= n * n
     return out
 

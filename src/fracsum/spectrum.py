@@ -15,7 +15,6 @@ the tentative half-shift inner product <f, g> = int conj(D_half f) D_half g.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -226,7 +225,7 @@ def boundary_report(s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN) -> Boundar
         raise PoleError("the boundary identity holds for s != 1")
     f0 = complex(frac_power(0.0, s, cfg))
     fmh = complex(frac_power(-0.5, s, cfg))
-    identity = (2.0 - cmath.exp(s * math.log(2.0))) * riemann_zeta(s, cfg)
+    identity = (2.0 - 2.0 ** s) * riemann_zeta(s, cfg)
     return BoundaryReport(f0, fmh, abs(fmh - identity))
 
 

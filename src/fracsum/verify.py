@@ -1,9 +1,12 @@
 """Deterministic property suites behind the ``verify`` CLI command.
 
-Each check measures a defect against an identity the library claims and
-compares it to a fixed tolerance.  Randomised cases are drawn from a seeded
-generator, so a given seed always produces the same report.  These suites
-are smoke-level; the full test suite under tests/ is the authoritative one.
+Each check states one identity the library claims, evaluates its defect
+over arrays of points, and compares the largest |defect| to a fixed
+tolerance.  A ConvergenceError raised while measuring fails that check
+with measure inf, and the suite goes on.  Randomised cases are drawn from
+a seeded generator before their check runs, so a given seed always
+produces the same report.  These suites are smoke-level; the full test
+suite under tests/ is the authoritative one.
 """
 
 from __future__ import annotations
@@ -11,26 +14,27 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .core import (
     DEFAULT_SUMMATION,
+    FLAT,
+    NOT_FLAT,
     EvalFn,
+    const_fn,
     flatness_probe,
     forward_difference,
     frac_power,
     frac_power_derivative,
     frac_power_fn,
     fractional_sum_limit,
-    linear_combination,
+    fractional_sum_limits,
     log_fn,
     power_fn,
     sin_2pi_fn,
-    const_fn,
     sum_log,
-    FLAT,
-    NOT_FLAT,
 )
 from .operators import (
     DEFAULT_OPERATOR,
@@ -43,7 +47,7 @@ from .operators import (
 )
 from .errors import ConvergenceError
 from .specfun import DEFAULT_SPECFUN, riemann_zeta
-from .spectrum import eigenvalue_of
+from .spectrum import boundary_report, eigenvalue_of
 
 
 @dataclass(frozen=True)
@@ -55,14 +59,36 @@ class CheckResult:
     detail: str = ""
 
 
-def _check(name, measure, tol, detail=""):
-    return CheckResult(name, bool(measure < tol), float(measure), float(tol), detail)
+def _check(name: str, tol: float, measure: Callable) -> CheckResult:
+    """Run measure() now (it may read names the suite rebinds later); it
+    returns the defect or (defect, detail).  A ConvergenceError fails the
+    check with measure inf."""
+    try:
+        value = measure()
+    except ConvergenceError as exc:
+        return CheckResult(name, False, math.inf, float(tol), str(exc))
+    value, detail = value if isinstance(value, tuple) else (value, "")
+    return CheckResult(name, bool(value < tol), float(value), float(tol), detail)
 
 
-def _richardson_diff(fn, x, h=1e-5):
-    d1 = (fn(x + h) - fn(x - h)) / (2 * h)
-    d2 = (fn(x + h / 2) - fn(x - h / 2)) / h
-    return (4 * d2 - d1) / 3
+def _sup(defects) -> float:
+    """Largest |d| over the defects (0 if none; nan propagates), by Python's
+    complex abs: numpy's vectorised abs does not always round the same."""
+    return float(np.max([abs(d) for d in np.ravel(defects).tolist()], initial=0.0))
+
+
+def _sigma(f: EvalFn, xs, sum_cfg) -> np.ndarray:
+    return np.array([r.value for r in fractional_sum_limits(f, xs, sum_cfg)])
+
+
+def _richardson_diff(fn, xs, h=1e-5) -> np.ndarray:
+    """Richardson-improved central differences of fn at each x, from one
+    call of fn on every stencil point; the arithmetic is per point in
+    Python complex, as it would be at a scalar x."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    vals = np.asarray(fn(np.concatenate([xs + h, xs - h, xs + h / 2, xs - h / 2])))
+    return np.array([(4 * ((up2 - dn2) / h) - (up - dn) / (2 * h)) / 3
+                     for up, dn, up2, dn2 in vals.reshape(4, -1).T.tolist()])
 
 
 def lemma_suite(seed: int = 0,
@@ -72,159 +98,124 @@ def lemma_suite(seed: int = 0,
     rng = random.Random(seed)
     out = []
 
-    # Delta after Sigma returns the summand.
-    worst = 0.0
-    for f, label in [(log_fn(), "log"), (power_fn(0.7), "v^-0.7"),
-                     (power_fn(0.5 + 2j), "v^-(0.5+2i)")]:
-        for x in (0.5, 1.7, 3.3, 4.9):
-            hi = fractional_sum_limit(f, x, sum_cfg).value
-            lo = fractional_sum_limit(f, x - 1.0, sum_cfg).value
-            worst = max(worst, abs((hi - lo) - complex(f(x))))
-    out.append(_check("delta_after_sigma_recovers_summand", worst, 1e-6))
+    # Delta after Sigma returns the summand: Sigma f(x) - Sigma f(x-1) = f(x).
+    xs = np.array([0.5, 1.7, 3.3, 4.9])
 
-    # Limit engine against the Hurwitz closed form.
-    worst = 0.0
-    bad_bound = 0
-    for _ in range(6):
-        x = rng.uniform(-0.8, 6.0)
-        s = complex(rng.uniform(0.2, 2.4), rng.uniform(-8.0, 8.0))
-        if abs(s - 1.0) < 0.05 or float(x).is_integer():
-            continue
-        res = fractional_sum_limit(power_fn(s), x, sum_cfg)
-        err = abs(res.value - frac_power(x, s, spec_cfg))
-        worst = max(worst, err / max(1e-6, 10.0 * res.err_estimate))
-        bad_bound += err > max(res.err_estimate, 1e-14)
-    out.append(_check("limit_engine_matches_closed_form", worst, 1.0,
-                      detail=f"{bad_bound} case(s) above the reported estimate"))
+    def delta_sigma(f):
+        sig = _sigma(f, np.concatenate([xs, xs - 1.0]), sum_cfg)
+        return sig[:xs.size] - sig[xs.size:] - f(xs)
+
+    out.append(_check("delta_after_sigma_recovers_summand", 1e-6, lambda: _sup(
+        [delta_sigma(f) for f in (log_fn(), power_fn(0.7), power_fn(0.5 + 2j))])))
+
+    # Limit engine against the Hurwitz closed form, and its error estimate.
+    cases = [(rng.uniform(-0.8, 6.0), complex(rng.uniform(0.2, 2.4), rng.uniform(-8.0, 8.0)))
+             for _ in range(6)]
+    cases = [(x, s) for x, s in cases if abs(s - 1.0) >= 0.05 and not float(x).is_integer()]
+
+    def limit_engine():
+        ratios, above = [], 0
+        for x, s in cases:
+            res = fractional_sum_limit(power_fn(s), x, sum_cfg)
+            err = abs(res.value - frac_power(x, s, spec_cfg))
+            ratios.append(err / max(1e-6, 10.0 * res.err_estimate))
+            above += err > max(res.err_estimate, 1e-14)
+        return _sup(ratios), f"{above} case(s) above the reported estimate"
+
+    out.append(_check("limit_engine_matches_closed_form", 1.0, limit_engine))
 
     # Integer arguments reproduce plain finite sums.
-    worst = 0.0
-    f = log_fn()
-    for m in range(5):
-        exact = sum(math.log(k) for k in range(1, m + 1))
-        worst = max(worst, abs(fractional_sum_limit(f, float(m), sum_cfg).value - exact))
-    out.append(_check("integer_arguments_exact", worst, 1e-12))
+    exact = [sum(math.log(k) for k in range(1, m + 1)) for m in range(5)]
+    out.append(_check("integer_arguments_exact", 1e-12, lambda: _sup(
+        _sigma(log_fn(), np.arange(5.0), sum_cfg) - exact)))
 
-    # Sigma log equals log Gamma(x+1).
-    worst = max(abs(fractional_sum_limit(log_fn(), x, sum_cfg).value - sum_log(x, spec_cfg))
-                for x in (-0.5, 0.5, 2.5))
-    out.append(_check("sigma_log_is_log_gamma", worst, 1e-6))
+    # Sigma log equals log Gamma(x+1).  sum_log runs per point: log_gamma's
+    # recurrence shift depends on the whole array.
+    xs_log = (-0.5, 0.5, 2.5)
+    out.append(_check("sigma_log_is_log_gamma", 1e-6, lambda: _sup(
+        _sigma(log_fn(), xs_log, sum_cfg) - [sum_log(x, spec_cfg) for x in xs_log])))
 
     # Derivative formula vs Richardson differences.
-    worst = 0.0
-    for _ in range(6):
-        x = rng.uniform(-0.5, 5.0)
-        s = complex(rng.uniform(0.2, 2.4), rng.uniform(-5.0, 5.0))
-        if abs(s) < 0.1 or abs(s - 1.0) < 0.05:
-            continue
-        fd = _richardson_diff(lambda u: frac_power(u, s, spec_cfg), x)
-        worst = max(worst, abs(fd - frac_power_derivative(x, s, spec_cfg)))
-    out.append(_check("derivative_formula_matches_differences", worst, 1e-6))
+    cases = [(rng.uniform(-0.5, 5.0), complex(rng.uniform(0.2, 2.4), rng.uniform(-5.0, 5.0)))
+             for _ in range(6)]
+    cases = [(x, s) for x, s in cases if abs(s) >= 0.1 and abs(s - 1.0) >= 0.05]
+    out.append(_check("derivative_formula_matches_differences", 1e-6, lambda: _sup(
+        [_richardson_diff(lambda u: frac_power(u, s, spec_cfg), x)
+         - frac_power_derivative(x, s, spec_cfg) for x, s in cases])))
 
-    # Boundary identity at x = -1/2.
-    worst = 0.0
-    for _ in range(5):
-        s = complex(rng.uniform(-0.8, 2.5), rng.uniform(-8.0, 8.0))
-        if abs(s - 1.0) < 0.1:
-            continue
-        lhs = frac_power(-0.5, s, spec_cfg)
-        rhs = (2.0 - 2.0 ** complex(s)) * riemann_zeta(s, spec_cfg)
-        worst = max(worst, abs(lhs - rhs))
-    out.append(_check("half_point_boundary_identity", worst, 1e-9))
+    # Boundary identity at x = -1/2: (-1/2)^[-s] = (2 - 2^s) zeta(s).
+    ss = [complex(rng.uniform(-0.8, 2.5), rng.uniform(-8.0, 8.0)) for _ in range(5)]
+    out.append(_check("half_point_boundary_identity", 1e-9, lambda: _sup(
+        [boundary_report(s, spec_cfg).identity_defect for s in ss if abs(s - 1.0) >= 0.1])))
 
     # Flatness classification on the power family.
-    ok = (flatness_probe(log_fn(), (0.5, 1.0, 2.0), sum_cfg).verdict == FLAT
-          and flatness_probe(power_fn(0.5), (0.5, 1.0, 2.0), sum_cfg).verdict == FLAT
-          and flatness_probe(power_fn(-1.0), (0.5, 1.0, 2.0), sum_cfg).verdict == NOT_FLAT
-          and flatness_probe(power_fn(-1.5), (0.5, 1.0, 2.0), sum_cfg).verdict == NOT_FLAT)
-    out.append(_check("flatness_classification", 0.0 if ok else 1.0, 0.5))
+    probes = (log_fn(), power_fn(0.5), power_fn(-1.0), power_fn(-1.5))
+    out.append(_check("flatness_classification", 0.5, lambda: float(
+        [flatness_probe(f, (0.5, 1.0, 2.0), sum_cfg).verdict for f in probes]
+        != [FLAT, FLAT, NOT_FLAT, NOT_FLAT])))
     return out
 
 
 def operator_suite(seed: int = 0,
-                   op_cfg: OperatorConfig = DEFAULT_OPERATOR) -> list[CheckResult]:
+                   op_cfg: OperatorConfig = DEFAULT_OPERATOR,
+                   spec_cfg=DEFAULT_SPECFUN) -> list[CheckResult]:
     """Identities of the operator algebra, incl. the numeric p path."""
     rng = random.Random(seed)
     out = []
-    grid = np.asarray([x for x in op_cfg.sample_grid if x > -0.5])
 
     # Constants and sin(2 pi x) are annihilated by R.
-    try:
-        r_const = apply_R(const_fn(2.0 - 1j), op_cfg)
-        r_sin = apply_R(sin_2pi_fn(), op_cfg)
-        kernel = max(float(np.abs(r_const(grid)).max()), float(np.abs(r_sin(grid)).max()))
-        out.append(_check("kernel_of_difference_annihilated", kernel, 1e-6))
-    except ConvergenceError as exc:
-        out.append(CheckResult("kernel_of_difference_annihilated", False,
-                               math.inf, 1e-6, str(exc)))
+    grid = np.asarray([x for x in op_cfg.sample_grid if x > -0.5])
+    out.append(_check("kernel_of_difference_annihilated", 1e-6, lambda: _sup(
+        [apply_R(f, op_cfg)(grid) for f in (const_fn(2.0 - 1j), sin_2pi_fn())])))
 
     # X produces 0 at the origin, exactly (empty-sum convention).
-    xf = apply_X(frac_power_fn(1.3), op_cfg)
-    out.append(_check("x_operator_vanishes_at_zero", abs(complex(xf(0.0))), 1e-300))
+    out.append(_check("x_operator_vanishes_at_zero", 1e-300, lambda: abs(
+        complex(apply_X(frac_power_fn(1.3, spec_cfg), op_cfg)(0.0)))))
 
     # Delta X f = x Delta f.
-    worst = 0.0
-    for s in (0.7, 1.3, 0.5 + 2j):
-        f = frac_power_fn(s)
-        dxf = forward_difference(apply_X(f, op_cfg))
-        df = forward_difference(f)
-        for x in (0.5, 1.5, 3.5):
-            worst = max(worst, abs(complex(dxf(x)) - x * complex(df(x))))
-    out.append(_check("difference_commutes_through_x_sum", worst, 1e-6))
+    xs = np.array([0.5, 1.5, 3.5])
+    out.append(_check("difference_commutes_through_x_sum", 1e-6, lambda: _sup(
+        [forward_difference(apply_X(f, op_cfg))(xs) - xs * forward_difference(f)(xs)
+         for f in (frac_power_fn(s, spec_cfg) for s in (0.7, 1.3, 0.5 + 2j))])))
 
     # Delta p f = p Delta f on functions defined on all of (-1, inf).
-    worst = 0.0
-    for f in (frac_power_fn(0.8), sin_2pi_fn()):
-        lhs = forward_difference(apply_p(f, op_cfg))
-        rhs = apply_p(forward_difference(f), op_cfg)
-        for x in (0.5, 1.25, 2.75):
-            worst = max(worst, abs(complex(lhs(x)) - complex(rhs(x))))
-    out.append(_check("difference_commutes_with_derivative", worst, 1e-6))
+    xs = np.array([0.5, 1.25, 2.75])
+    out.append(_check("difference_commutes_with_derivative", 1e-6, lambda: _sup(
+        [forward_difference(apply_p(f, op_cfg))(xs) - apply_p(forward_difference(f), op_cfg)(xs)
+         for f in (frac_power_fn(0.8, spec_cfg), sin_2pi_fn())])))
 
     # Numeric differentiation against the analytic derivative.  The point
     # near the domain edge has large higher derivatives, so a coarse
     # diff_step visibly breaks this check (the h^4 truncation term).
-    worst = 0.0
-    for _ in range(4):
-        s = complex(rng.uniform(0.3, 2.2), rng.uniform(-3.0, 3.0))
-        if abs(s - 1.0) < 0.05:
-            continue
-        f = frac_power_fn(s)
+    ss = [complex(rng.uniform(0.3, 2.2), rng.uniform(-3.0, 3.0)) for _ in range(4)]
+    xs_p = np.array([-0.75, 0.25, 1.0, 4.0])
+
+    def numeric_minus_analytic(f):
         stripped = EvalFn(f.domain_lo, f.eval, None, label=f.label)
-        numeric = apply_p(stripped, op_cfg)
-        analytic = apply_p(f, op_cfg)
-        for x in (-0.75, 0.25, 1.0, 4.0):
-            worst = max(worst, abs(complex(numeric(x)) - complex(analytic(x))))
-    out.append(_check("numeric_derivative_matches_analytic", worst, 1e-6))
+        return apply_p(stripped, op_cfg)(xs_p) - apply_p(f, op_cfg)(xs_p)
+
+    out.append(_check("numeric_derivative_matches_analytic", 1e-6, lambda: _sup(
+        [numeric_minus_analytic(frac_power_fn(s, spec_cfg)) for s in ss if abs(s - 1.0) >= 0.05])))
 
     # x-multiplication respects the product rule.
-    f = frac_power_fn(1.7)
-    xf = apply_x_mult(f)
-    worst = max(abs(complex(xf.derivative(x))
-                    - complex(_richardson_diff(lambda u: u * complex(f(u)), x)))
-                for x in (0.5, 2.0))
-    out.append(_check("x_mult_product_rule", worst, 1e-6))
+    f = frac_power_fn(1.7, spec_cfg)
+    xs = np.array([0.5, 2.0])
+    out.append(_check("x_mult_product_rule", 1e-6, lambda: _sup(
+        apply_x_mult(f).derivative(xs) - _richardson_diff(lambda u: u * f(u), xs))))
 
     # Dilation eigenvalue formula, through the numeric pipeline.
-    try:
-        lam = continuum_dilation(0.6 + 1.5j, verify=True, cfg=op_cfg)
-        out.append(_check("continuum_dilation_eigenvalue",
-                          abs(lam - eigenvalue_of(0.6 + 1.5j)), 1e-12))
-    except ConvergenceError as exc:
-        out.append(CheckResult("continuum_dilation_eigenvalue", False,
-                               math.inf, 1e-12, str(exc)))
+    s = 0.6 + 1.5j
+    out.append(_check("continuum_dilation_eigenvalue", 1e-12, lambda: abs(
+        continuum_dilation(s, verify=True, cfg=op_cfg) - eigenvalue_of(s))))
 
-    # One full numeric R against the closed form (reduced grid; this is the
-    # nested-limit path).
+    # One full numeric R against the closed form,
+    # R x^[-s] = i(2s-1) x^[-s] - i(s-1) zeta(s) (the nested-limit path).
     s = 2.0 + 0j
-    f = frac_power_fn(s)
-    rf = apply_R(f, op_cfg)
-    zs = riemann_zeta(s)
-    worst = 0.0
-    for x in (0.5, 1.5):
-        closed = eigenvalue_of(s) * complex(f(x)) - 1j * (s - 1.0) * zs
-        worst = max(worst, abs(complex(rf(x)) - closed))
-    out.append(_check("numeric_R_matches_closed_form", worst, 1e-8))
+    f = frac_power_fn(s, spec_cfg)
+    xs = np.array([0.5, 1.5])
+    out.append(_check("numeric_R_matches_closed_form", 1e-8, lambda: _sup(
+        apply_R(f, op_cfg)(xs)
+        - (eigenvalue_of(s) * f(xs) - 1j * (s - 1.0) * riemann_zeta(s, spec_cfg)))))
     return out
 
 
@@ -235,7 +226,7 @@ def run_suite(which: str, seed: int = 0,
     if which == "lemmas":
         return lemma_suite(seed, sum_cfg, spec_cfg)
     if which == "operators":
-        return operator_suite(seed, op_cfg)
+        return operator_suite(seed, op_cfg, spec_cfg)
     if which == "all":
-        return lemma_suite(seed, sum_cfg, spec_cfg) + operator_suite(seed, op_cfg)
+        return lemma_suite(seed, sum_cfg, spec_cfg) + operator_suite(seed, op_cfg, spec_cfg)
     raise ValueError(f"unknown suite {which!r}")

@@ -151,6 +151,13 @@ def test_verify_coarse_step_fails(capsys):
     assert "numeric_derivative_matches_analytic" in names
 
 
+def test_verify_em_terms_reaches_operator_suite(capsys):
+    code, rec = run_json(capsys, "verify", "operators", "--em-terms", "12")
+    _, default = run_json(capsys, "verify", "operators")
+    assert code == 0
+    assert rec["results"]["checks"] != default["results"]["checks"]
+
+
 def test_verify_deterministic_across_runs(capsys):
     code1, rec1 = run_json(capsys, "verify", "all", "--seed", "7")
     code2, rec2 = run_json(capsys, "verify", "all", "--seed", "7")

@@ -102,15 +102,15 @@ def test_p_one_sided_stencil_near_boundary():
 
 
 def test_p_vectorized_evaluation():
-    # scalar and array evaluations of the underlying zeta differ by ~1 ulp
-    # (pairwise-sum blocking), which the 1/h of the stencil amplifies
+    # each point of an array of x gets the bits of its scalar call, down to
+    # the zeta values the stencil differences (verify's checks rely on it)
     f = frac_power_fn(1.2)
     stripped = EvalFn(f.domain_lo, f.eval, None)
     num = apply_p(stripped, CFG)
     xs = np.array([0.5, 1.5, 4.0])
     vec = num(xs)
     for i, x in enumerate(xs):
-        assert abs(vec[i] - complex(num(float(x)))) < 1e-9
+        assert vec[i] == complex(num(float(x)))
 
 
 # ------------------------------------------------------------------- X
@@ -204,16 +204,6 @@ def test_R_linearity():
     for x in SMALL_GRID:
         rhs = a * complex(rf(x)) + b * complex(rg(x))
         assert abs(complex(lhs(x)) - rhs) < 1e-6
-
-
-def test_difference_commutes_through_X():
-    # Delta X f = x Delta f
-    for s in (0.7, 1.3, 0.5 + 2j):
-        f = frac_power_fn(s)
-        dxf = forward_difference(apply_X(f, CFG))
-        df = forward_difference(f)
-        for x in (0.5, 1.5, 3.5):
-            assert abs(complex(dxf(x)) - x * complex(df(x))) < 1e-6
 
 
 def test_difference_commutes_with_p():
