@@ -7,9 +7,10 @@ is deterministic: identical invocations produce byte-identical payloads
 apart from the timing field.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
-3 convergence failure in strict mode.  Global flags mirror the config
-types and fall back to FRACSUM_* environment variables before built-in
-defaults.
+3 convergence failure in strict mode.  A domain error includes an
+unwritable ``--csv`` path and a non-finite ``--x``; like every failure it
+still emits its record.  Global flags mirror the config types and fall
+back to FRACSUM_* environment variables before built-in defaults.
 """
 
 from __future__ import annotations
@@ -67,18 +68,8 @@ def parse_complex(text: str) -> complex:
             return complex(float(t), 0.0)
         except ValueError as exc:
             raise DomainError(f"cannot parse {text!r} as a number") from exc
-    body = t[:-1]
-    # split at the last sign that is not an exponent sign and not leading
-    for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "eE":
-            re_part, im_part = body[:k], body[k:]
-            break
-    else:
-        re_part, im_part = "0", body or "1"
-    if im_part in ("+", "-"):
-        im_part += "1"
     try:
-        return complex(float(re_part), float(im_part))
+        return complex(t[:-1] + "j")
     except ValueError as exc:
         raise DomainError(f"cannot parse {text!r} as a complex number") from exc
 
@@ -88,41 +79,18 @@ def format_complex(z: complex) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
-def _num(x: float) -> str:
-    # repr round-trips doubles exactly, which beats any fixed digit count
-    return repr(float(x))
-
-
-def _jsonable(value):
+def _complex_json(value):
+    # json's default hook: it sees only what json cannot encode itself
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(f"FRACSUM_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise DomainError(f"bad value {raw!r} for FRACSUM_{name}")
-
-
-def _env_bool(name: str, fallback: bool) -> bool:
-    raw = os.environ.get(f"FRACSUM_{name}")
-    if raw is None:
-        return fallback
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise DomainError(f"bad value {raw!r} for FRACSUM_{name}")
+def _strict_word(raw: str) -> bool:
+    word = raw.strip().lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(raw)
+    return word in ("1", "true", "yes", "on")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,22 +162,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _opt(args, name, env_name, cast, fallback):
-    # precedence: explicit flag > FRACSUM_* environment > built-in default
+def _opt(args, name, cast, fallback):
+    # precedence: explicit flag > FRACSUM_<NAME> environment > built-in default
     value = getattr(args, name, None)
     if value is not None:
         return value
-    if cast is bool:
-        return _env_bool(env_name, fallback)
-    return _env(env_name, cast, fallback)
+    env = f"FRACSUM_{name.upper()}"
+    raw = os.environ.get(env)
+    if raw is None:
+        return fallback
+    try:
+        return cast(raw)
+    except ValueError:
+        raise DomainError(f"bad value {raw!r} for {env}")
 
 
 def _configs(args):
-    strict = _opt(args, "strict", "STRICT", bool, True)
-    abs_tol = _opt(args, "abs_tol", "ABS_TOL", float, 1e-8)
-    n0 = _opt(args, "n0", "N0", int, 64)
-    diff_step = _opt(args, "diff_step", "DIFF_STEP", float, 1e-4)
-    em_terms = _opt(args, "em_terms", "EM_TERMS", int, 50)
+    strict = _opt(args, "strict", _strict_word, True)
+    abs_tol = _opt(args, "abs_tol", float, 1e-8)
+    n0 = _opt(args, "n0", int, 64)
+    diff_step = _opt(args, "diff_step", float, 1e-4)
+    em_terms = _opt(args, "em_terms", int, 50)
     sum_cfg = SummationConfig(
         n0=n0, abs_tol=abs_tol, strict=strict,
         max_n=max(SummationConfig.max_n, n0 * 2 ** (SCHEDULE_LEN - 1)),
@@ -220,20 +193,15 @@ def _configs(args):
 
 
 def _write_csv(path: str, columns, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_field(row[c]) for c in columns) + "\n")
-
-
-def _field(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (int,)):
-        return str(v)
-    if isinstance(v, float):
-        return _num(v)
-    return str(v)
+    # booleans are written as 0/1, so that every field reads back as a number
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(_render(int(v) if isinstance(v, bool) else v)
+                                  for v in (row[c] for c in columns)) + "\n")
+    except OSError as exc:
+        raise DomainError(f"cannot write CSV: {exc}") from exc
 
 
 def read_records_csv(path: str) -> list[dict]:
@@ -258,7 +226,7 @@ def _cmd_eval(args, cfgs, diagnostics):
     x = float(args.x)
     inputs = {"expr": args.expr, "x": x}
     if args.expr == "sumlog":
-        value = complex(sum_log(x, spec_cfg))
+        value = complex(sum_log(x))
         results = {"value": value, "err_estimate": TARGET_ABS_TOL,
                    "method": "log_gamma"}
         return inputs, results, EXIT_OK
@@ -294,8 +262,8 @@ def _cmd_eval(args, cfgs, diagnostics):
 
 def _cmd_verify(args, cfgs, diagnostics):
     sum_cfg, op_cfg, spec_cfg = cfgs
-    # the suite reports pass/fail per property; a strict ConvergenceError
-    # would abort the whole run, so verification always measures leniently
+    # verification always measures leniently (see README): each check
+    # reports the defect its limits reached, converged or not
     sum_cfg = replace(sum_cfg, strict=False)
     op_cfg = replace(op_cfg, sum_cfg=sum_cfg)
     checks = run_suite(args.suite, args.seed, sum_cfg, op_cfg, spec_cfg)
@@ -333,12 +301,11 @@ def _cmd_zeros(args, cfgs, diagnostics):
             "boundary_f0_abs": abs(rep.boundary_f0),
             "boundary_fhalf_abs": abs(rep.boundary_fhalf),
         })
-    if args.csv:
-        _write_csv(args.csv, ZEROS_CSV_COLUMNS, rows)
     inputs = {"t_min": args.t_min, "t_max": args.t_max,
               "numeric_residual": bool(args.numeric_residual)}
     results = {"n_zeros": len(zeros), "zeros": rows}
     if args.csv:
+        _write_csv(args.csv, ZEROS_CSV_COLUMNS, rows)
         results["csv"] = args.csv
     return inputs, results, EXIT_OK
 
@@ -353,13 +320,12 @@ def _cmd_scan(args, cfgs, diagnostics):
         "lambda_re": c.lam.real, "lambda_im": c.lam.imag,
         "lambda_is_real": c.lambda_is_real, "flags": c.flag,
     } for c in cells]
-    if args.csv:
-        _write_csv(args.csv, SCAN_CSV_COLUMNS, rows)
     n_error = sum(1 for c in cells if c.flag.startswith("error"))
     inputs = {"re0": args.re0, "re1": args.re1, "im0": args.im0, "im1": args.im1,
               "n_re": args.n_re, "n_im": args.n_im}
     results = {"n_cells": len(cells), "n_error": n_error, "cells": rows}
     if args.csv:
+        _write_csv(args.csv, SCAN_CSV_COLUMNS, rows)
         results["csv"] = args.csv
     if n_error > 0.1 * len(cells):
         diagnostics.append({"level": "error",
@@ -394,7 +360,7 @@ _HANDLERS = {
 
 def _emit(record: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(_jsonable(record), indent=2))
+        print(json.dumps(record, indent=2, default=_complex_json))
         return
     print(f"fracsum {record['command']}  (schema {record['schema_version']})")
     for key, val in record["inputs"].items():
@@ -410,7 +376,8 @@ def _render(val) -> str:
     if isinstance(val, complex):
         return format_complex(val)
     if isinstance(val, float):
-        return _num(val)
+        # repr round-trips doubles exactly, which beats any fixed digit count
+        return repr(float(val))
     return str(val)
 
 
@@ -452,14 +419,13 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     diagnostics: list[dict] = []
     try:
-        cfgs = _configs(args)
-        inputs, results, code = _HANDLERS[args.command](args, cfgs, diagnostics)
-    except ConvergenceError as exc:
-        _emit_failure(args, "ConvergenceError", str(exc), t0)
-        return EXIT_CONVERGENCE
-    except (DomainError, FracsumError) as exc:
-        _emit_failure(args, type(exc).__name__, str(exc), t0)
-        return EXIT_USAGE
+        inputs, results, code = _HANDLERS[args.command](args, _configs(args), diagnostics)
+    except FracsumError as exc:
+        # a failed run reports only its error, not the partial diagnostics
+        inputs, results = {}, {}
+        code = EXIT_CONVERGENCE if isinstance(exc, ConvergenceError) else EXIT_USAGE
+        diagnostics = [{"level": "error", "message": str(exc),
+                        "error_class": type(exc).__name__}]
     record = {
         "schema_version": "1",
         "command": args.command,
@@ -470,19 +436,6 @@ def main(argv=None) -> int:
     }
     _emit(record, getattr(args, "format", "table"))
     return code
-
-
-def _emit_failure(args, error_class: str, message: str, t0: float) -> None:
-    record = {
-        "schema_version": "1",
-        "command": getattr(args, "command", "?"),
-        "inputs": {},
-        "results": {},
-        "diagnostics": [{"level": "error", "message": message,
-                         "error_class": error_class}],
-        "timing_ms": (time.perf_counter() - t0) * 1000.0,
-    }
-    _emit(record, getattr(args, "format", "table"))
 
 
 if __name__ == "__main__":

@@ -363,12 +363,13 @@ def fractional_sum_limits(f: EvalFn, xs: Sequence[float],
     """sum_{v=1}^{x} f(v), or its x-derivative, at each x > -1, in lock-step.
 
     Each x gives, to the bit, what its limit gives when run on its own:
-    every limit keeps its own partial values, ``_wynn`` and stopping step.  No limit runs at x0 = 0 for the value, where the shift
-    is the whole sum.  In strict mode the first x, in order, whose limit
-    did not converge raises ConvergenceError.
+    every limit keeps its own partial values, ``_wynn`` and stopping step.
+    No limit runs at x0 = 0 for the value, where the shift is the whole
+    sum.  A NaN or infinite x raises DomainError.  In strict mode the first
+    x, in order, whose limit did not converge raises ConvergenceError.
     """
     for x in xs:
-        if float(x) <= -1.0:
+        if not -1.0 < float(x) < math.inf:
             raise DomainError(f"fractional sums are defined for x > -1, got {float(x)}")
     if f.domain_lo > 0.0:
         raise DomainError("summand must be defined on all of (0, inf)")
@@ -456,7 +457,7 @@ def frac_power(x, s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     if work.size and not np.all(work > -1.0):
         raise DomainError(f"frac_power requires x > -1, got min {work.min()}")
     if abs(s - 1.0) < _S_ONE_EXACT:
-        out = euler_gamma() + digamma(work + 1.0, cfg)
+        out = euler_gamma() + digamma(work + 1.0)
     else:
         if abs(s - 1.0) < _S_ONE_WARN:
             warnings.warn(
@@ -502,11 +503,11 @@ def frac_power_fn(s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN) -> EvalFn:
     )
 
 
-def sum_log(x, cfg: SpecFunConfig = DEFAULT_SPECFUN):
+def sum_log(x):
     """sum_{v=1}^{x} log v = log Gamma(x+1) for x > -1 (scalar or array)."""
     arr = np.asarray(x, dtype=float)
     work = np.atleast_1d(arr)
     if work.size and not np.all(work > -1.0):
         raise DomainError("sum_log requires x > -1")
-    out = log_gamma(work + 1.0, cfg)
+    out = log_gamma(work + 1.0)
     return complex(out[0]) if arr.ndim == 0 else out

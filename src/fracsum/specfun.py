@@ -314,13 +314,12 @@ def _shifted(z, floor: float, name: str):
     return arr, shift, scalar
 
 
-def digamma(z, cfg: SpecFunConfig = DEFAULT_SPECFUN):
+def digamma(z):
     """Digamma function Psi(z) for z not a non-positive integer.
 
     Shifts upward with Psi(z) = Psi(z+1) - 1/z until Re >= 10, then applies
     the Bernoulli asymptotic series.  Absolute error <= 1e-12 for Re(z) > 0.
     """
-    del cfg  # accuracy is fixed by the shift threshold, kept for symmetry
     arr, shift, scalar = _shifted(z, 10.0, "digamma")
     acc = np.zeros_like(arr)
     work = arr.copy()
@@ -338,14 +337,13 @@ def digamma(z, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     return complex(out[0]) if scalar else out
 
 
-def log_gamma(z, cfg: SpecFunConfig = DEFAULT_SPECFUN):
+def log_gamma(z):
     """Principal branch of log Gamma(z) for Re(z) > 0.
 
     Stirling series after an upward recurrence shift to Re >= 10.  The
     recurrence log Gamma(z) = log Gamma(z+1) - log z stays on the principal
     branch throughout Re(z) > 0.  Absolute error <= 1e-12.
     """
-    del cfg
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -369,31 +367,19 @@ def log_gamma(z, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     return complex(out[0]) if scalar else out
 
 
-@lru_cache(maxsize=1)
 def euler_gamma() -> float:
-    """Euler-Mascheroni constant gamma = 0.57721566490153... (>= 14 digits).
-
-    Computed once as H_n - log n - 1/(2n) + sum_k B_2k/(2k n^2k) at n = 128,
-    where the truncation is far below double precision.
-    """
-    n = 128
-    h = math.fsum(1.0 / k for k in range(1, n + 1))
-    out = h - math.log(n) - 0.5 / n
-    npow = float(n * n)
-    for j in range(1, 7):
-        out += _BERNOULLI[2 * j] / (2 * j * npow)
-        npow *= n * n
-    return out
+    """Euler-Mascheroni constant gamma = 0.5772156649015329, correctly rounded."""
+    return 0.5772156649015329
 
 
-def riemann_siegel_theta(t, cfg: SpecFunConfig = DEFAULT_SPECFUN):
+def riemann_siegel_theta(t):
     """Riemann-Siegel theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi.
 
     t is a scalar or a 1-D array; the result matches its shape.
     """
     arr = np.asarray(t, dtype=float)
     ts = np.atleast_1d(arr)
-    theta = log_gamma(0.25 + 0.5j * ts, cfg).imag - 0.5 * ts * math.log(math.pi)
+    theta = log_gamma(0.25 + 0.5j * ts).imag - 0.5 * ts * math.log(math.pi)
     return float(theta[0]) if arr.ndim == 0 else theta
 
 
@@ -410,7 +396,7 @@ def hardy_z(t, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     ts = np.atleast_1d(arr)
     if np.any(ts < 0):
         raise DomainError("hardy_z requires t >= 0")
-    theta = riemann_siegel_theta(ts, cfg)
+    theta = riemann_siegel_theta(ts)
     s = 0.5 + 1j * ts
     # a single t (a bisection down to one bracket) takes the scalar kernel,
     # which gives the same bits at a fraction of an array's overhead

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -26,6 +27,11 @@ def without_timing(record):
     return record
 
 
+def run_table(capsys, *argv):
+    code, out = run_cli(capsys, *argv)
+    return code, re.sub(r"timing_ms = \S+", "timing_ms = <T>", out)
+
+
 # -------------------------------------------------------------- parsing
 
 @pytest.mark.parametrize("text,expect", [
@@ -35,18 +41,23 @@ def without_timing(record):
     ("0.5+14.1347251417i", 0.5 + 14.1347251417j),
     ("1e-3+2.5e1i", 1e-3 + 25j),
     ("3i", 3j),
-    ("-i", -1j),
+    ("-i", complex(0.0, -1.0)),
+    ("+2-i", complex(2.0, -1.0)),
+    ("1E-3-2E+1i", complex(1e-3, -20.0)),
+    ("inf-infi", complex(math.inf, -math.inf)),
+    ("-0-0i", complex(-0.0, -0.0)),
 ])
 def test_parse_complex(text, expect):
-    assert parse_complex(text) == expect
+    # repr tells the signs of zeros apart, which == does not
+    assert repr(parse_complex(text)) == repr(expect)
 
 
 def test_parse_complex_rejects_garbage():
     from fracsum import DomainError
-    with pytest.raises(DomainError):
-        parse_complex("2+3")
-    with pytest.raises(DomainError):
-        parse_complex("")
+    # "5 +i": the README's format has no spaces
+    for text in ("2+3", "", "5 +i", "2+-3i"):
+        with pytest.raises(DomainError):
+            parse_complex(text)
 
 
 # ----------------------------------------------------------------- eval
@@ -55,6 +66,7 @@ def test_eval_fracpow_unit(capsys):
     code, rec = run_json(capsys, "eval", "fracpow", "--x", "1", "--s", "2+0i")
     assert code == 0
     assert abs(rec["results"]["value"]["re"] - 1.0) < 1e-12
+    assert rec["inputs"]["s"] == {"re": 2.0, "im": 0.0}
     assert rec["schema_version"] == "1"
 
 
@@ -87,6 +99,14 @@ def test_eval_domain_error_exit_2(capsys):
     code, out = run_cli(capsys, "eval", "fracpow", "--x", "-2", "--s", "2+0i")
     assert code == 2
     assert "error" in out
+
+
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+def test_eval_sigma_non_finite_x_exit_2(capsys, x):
+    code, rec = run_json(capsys, "eval", "sigma", f"--x={x}", "--s", "2")
+    assert code == 2
+    assert rec["diagnostics"][0]["error_class"] == "DomainError"
+    assert "x > -1" in rec["diagnostics"][0]["message"]
 
 
 def test_eval_sigma_non_flat_summand_exit_2(capsys):
@@ -206,6 +226,20 @@ def test_zeros_csv_deterministic(capsys, tmp_path):
     assert a.read_bytes().endswith(b"\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("zeros", "14", "15"),
+    ("scan", "0.1", "0.9", "10", "14", "5", "9"),
+])
+def test_unwritable_csv_path_exit_2_with_record(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "z.csv"
+    code, rec = run_json(capsys, *argv, "--csv", str(path))
+    assert code == 2
+    assert rec["command"] == argv[0]
+    assert rec["diagnostics"][0]["error_class"] == "DomainError"
+    assert str(path) in rec["diagnostics"][0]["message"]
+    assert not path.exists()
+
+
 # ------------------------------------------------------------------ scan
 
 def test_scan_critical_column(capsys, tmp_path):
@@ -255,6 +289,7 @@ def test_scan_mostly_failed_cells_exit_3(capsys):
 def test_norm_finite_trend(capsys):
     code, rec = run_json(capsys, "norm", "--s", "0.75+5i", "--T", "400")
     assert code == 0
+    assert rec["inputs"]["s"] == {"re": 0.75, "im": 5.0}
     assert abs(rec["results"]["decay_exponent"] - (-1.5)) < 0.2
     assert rec["results"]["verdict"] == "finite-trend"
 
@@ -275,6 +310,64 @@ def test_norm_steep_decay(capsys):
 def test_norm_domain_exit_2(capsys):
     code, _ = run_cli(capsys, "norm", "--s", "0.25", "--T", "50")
     assert code == 2
+
+
+# ------------------------------------------------------------ table form
+#
+# The exact text of the human table.  Computed numbers come from the JSON
+# record of the same run, so the layout is pinned to the byte while their
+# last bits may follow the numpy build.
+
+def test_table_golden_eval_complex_input(capsys):
+    argv = ("eval", "fracpow", "--x", "0.5", "--s", "0.5+14i")
+    _, rec = run_json(capsys, *argv)
+    value, err = rec["results"]["value"], rec["results"]["err_estimate"]
+    assert value["im"] < 0.0
+    code, out = run_table(capsys, *argv)
+    assert code == 0
+    assert out == (
+        "fracsum eval  (schema 1)\n"
+        "  input   expr = fracpow\n"
+        "  input   x = 0.5\n"
+        "  input   s = 0.5+14.0i\n"
+        f"  result  value = {value['re']!r}-{-value['im']!r}i\n"
+        f"  result  err_estimate = {err!r}\n"
+        "  result  method = closed_form\n"
+        "  timing_ms = <T>\n"
+    )
+
+
+def test_table_golden_zeros_rows(capsys):
+    _, rec = run_json(capsys, "zeros", "14", "15")
+    row = rec["results"]["zeros"][0]
+    code, out = run_table(capsys, "zeros", "14", "15")
+    assert code == 0
+    assert out == (
+        "fracsum zeros  (schema 1)\n"
+        "  input   t_min = 14.0\n"
+        "  input   t_max = 15.0\n"
+        "  input   numeric_residual = False\n"
+        "  result  n_zeros = 1\n"
+        "  zeros:\n"
+        "    index | t | residual | bracket_lo | bracket_hi | lambda_re | lambda_im"
+        " | lambda_is_real | abs_zeta | analytic_residual | numeric_residual"
+        " | boundary_f0_abs | boundary_fhalf_abs\n"
+        f"    1 | {row['t']!r} | {row['residual']!r} | {row['bracket_lo']!r}"
+        f" | {row['bracket_hi']!r} | {row['lambda_re']!r} | 0.0 | True"
+        f" | {row['abs_zeta']!r} | {row['analytic_residual']!r} | nan | 0.0"
+        f" | {row['boundary_fhalf_abs']!r}\n"
+        "  timing_ms = <T>\n"
+    )
+
+
+def test_table_golden_failure_record(capsys):
+    code, out = run_table(capsys, "eval", "fracpow", "--x", "-2", "--s", "2+0i")
+    assert code == 2
+    assert out == (
+        "fracsum eval  (schema 1)\n"
+        "  [error:DomainError] frac_power requires x > -1, got min -2.0\n"
+        "  timing_ms = <T>\n"
+    )
 
 
 # ----------------------------------------------------------- environment

@@ -220,6 +220,12 @@ def test_domain_checks():
         fractional_sum_limit(log_fn(), -1.0)
     with pytest.raises(DomainError):
         fractional_sum_limit(EvalFn(0.5, lambda x: x), 0.5)
+    # NaN and +inf pass an ``x <= -1`` test and would reach the node ranges
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            fractional_sum_limit(power_fn(2.0), x)
+        with pytest.raises(DomainError):
+            fractional_sum_limits(power_fn(2.0), [0.5, x], derivative=True)
 
 
 def test_shift_recurrence_is_exact():

@@ -307,6 +307,8 @@ def test_log_gamma_domain():
 
 def test_euler_gamma_precision():
     assert abs(euler_gamma() - harmonic_euler_gamma()) < 1e-14
+    # the correctly rounded double, 0.57721566490153286061 to 20 digits
+    assert euler_gamma() == np.euler_gamma == 0.5772156649015329
 
 
 def test_euler_gamma_digamma_consistency():
