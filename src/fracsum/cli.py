@@ -8,7 +8,7 @@ apart from the timing field.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 convergence failure in strict mode.  A domain error includes an
-unwritable ``--csv`` path and a non-finite ``--x``; like every failure it
+unwritable ``--csv`` path and a non-finite input; like every failure it
 still emits its record.  Global flags mirror the config types and fall
 back to FRACSUM_* environment variables before built-in defaults.
 """
@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from dataclasses import replace
+from functools import lru_cache
 
 from .core import (
     SCHEDULE_LEN,
@@ -79,11 +80,45 @@ def format_complex(z: complex) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
-def _complex_json(value):
-    # json's default hook: it sees only what json cannot encode itself
+_LEAF_TYPES = (str, int, float, bool, type(None))
+_encode_leaf = json.JSONEncoder().encode
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(inner: str):
+    # json's C encoder, whose item separator lays out a flat dict's items
+    return json.JSONEncoder(separators=(",\n" + inner, ": ")).encode
+
+
+def _json_parts(value, out: list, pad: str = "") -> None:
+    """Append the text of json.dumps(value, indent=2) to out, in pieces.
+
+    A complex is written as {"re", "im"}.  A dict whose values are all
+    plain leaves is one call of json's C encoder; other leaves are json's
+    own scalars, so anything json cannot encode raises its TypeError.
+    """
+    inner = pad + "  "
     if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        value = {"re": value.real, "im": value.imag}
+    if isinstance(value, dict) and value:
+        if all(type(v) in _LEAF_TYPES for v in value.values()):
+            out.append("{\n" + inner + _flat_encoder(inner)(value)[1:-1] + "\n" + pad + "}")
+            return
+        # json writes a non-str key as the string of its own encoding
+        items = [(_encode_leaf(k if isinstance(k, str) else _encode_leaf(k)) + ": ", v)
+                 for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)) and value:
+        items, brackets = [("", v) for v in value], "[]"
+    else:
+        out.append(_encode_leaf(value))
+        return
+    sep = brackets[0] + "\n" + inner
+    for head, item in items:
+        out.append(sep + head)
+        _json_parts(item, out, inner)
+        sep = ",\n" + inner
+    out.append("\n" + pad + brackets[1])
 
 
 def _strict_word(raw: str) -> bool:
@@ -360,7 +395,15 @@ _HANDLERS = {
 
 def _emit(record: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(record, indent=2, default=_complex_json))
+        # the bytes of print(json.dumps(record, indent=2)), written in
+        # chunks: the whole text never exists as one string, yet an
+        # unbuffered stdout sees few writes; a value json cannot encode
+        # raises before anything is written
+        parts: list[str] = []
+        _json_parts(record, parts)
+        parts.append("\n")
+        for i in range(0, len(parts), 4096):
+            sys.stdout.write("".join(parts[i:i + 4096]))
         return
     print(f"fracsum {record['command']}  (schema {record['schema_version']})")
     for key, val in record["inputs"].items():

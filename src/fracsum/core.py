@@ -36,6 +36,7 @@ whose last bit may differ: so each limit keeps the bits it has alone.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -130,9 +131,16 @@ def log_fn() -> EvalFn:
     return EvalFn(0.0, np.log, lambda x: 1.0 / np.asarray(x, dtype=float), label="log")
 
 
-def power_fn(s: complex) -> EvalFn:
-    """x |-> x^(-s) = exp(-s log x) on (0, inf); any complex s."""
+def _finite_s(s: complex, who: str) -> complex:
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"{who} requires a finite s, got {s}")
+    return s
+
+
+def power_fn(s: complex) -> EvalFn:
+    """x |-> x^(-s) = exp(-s log x) on (0, inf); any finite complex s."""
+    s = _finite_s(s, "power_fn")
 
     def ev(x):
         return np.exp(-s * np.log(x))
@@ -448,7 +456,7 @@ def frac_power(x, s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     at s = 1 (taken when |s-1| < 1e-8).  Defined for x > -1, Re(s) > -1.
     Accepts scalar or array x.
     """
-    s = complex(s)
+    s = _finite_s(s, "frac_power")
     if s.real <= -1.0:
         raise DomainError(f"frac_power requires Re(s) > -1, got {s}")
     arr = np.asarray(x, dtype=float)
@@ -475,7 +483,7 @@ def frac_power_derivative(x, s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     At s = 0 both terms carry the factor s and the expression returns 0;
     the derivative contract covers s != 0 only.
     """
-    s = complex(s)
+    s = _finite_s(s, "frac_power_derivative")
     if s.real <= -1.0:
         raise DomainError(f"frac_power_derivative requires Re(s) > -1, got {s}")
     arr = np.asarray(x, dtype=float)
@@ -492,7 +500,7 @@ def frac_power_derivative(x, s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN):
 
 def frac_power_fn(s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN) -> EvalFn:
     """x^[-s] wrapped as an EvalFn on (-1, inf) with its analytic derivative."""
-    s = complex(s)
+    s = _finite_s(s, "frac_power_fn")
     if s.real <= -1.0:
         raise DomainError(f"frac_power_fn requires Re(s) > -1, got {s}")
     return EvalFn(
@@ -509,5 +517,7 @@ def sum_log(x):
     work = np.atleast_1d(arr)
     if work.size and not np.all(work > -1.0):
         raise DomainError("sum_log requires x > -1")
+    if work.size and not np.all(work < math.inf):
+        raise DomainError("sum_log requires a finite x")
     out = log_gamma(work + 1.0)
     return complex(out[0]) if arr.ndim == 0 else out

@@ -16,9 +16,10 @@ corrections.  That keeps one code path and one error model for
 Arguments named ``a``, ``z``, ``t`` or ``x`` accept either a scalar or a
 1-D numpy array and the result matches the input shape.  ``hurwitz_zeta``
 also takes a 1-D array of ``s`` with a scalar ``a``, in the same kernel;
-that is how ``hardy_z`` and the strip scan evaluate zeta over many ``s``
-at once.  A point's value has the same bits alone and in any array.
-``riemann_zeta`` stays scalar and cached.
+that is how ``hardy_z`` evaluates zeta over many ``s`` at once, and how
+the strip scan evaluates it over its whole grid in one call.  A point's
+value has the same bits alone and in any array.  ``riemann_zeta`` stays
+scalar and cached.
 
 All functions are pure; the only shared state is the constant Bernoulli
 table.

@@ -249,13 +249,17 @@ def scan_s_plane(re_range: tuple[float, float], im_range: tuple[float, float],
     The grid must sit in Re(s) > 0 (outside that the candidates leave the
     operator domain and the sweep is meaningless).  Cells within 1e-3 of
     s = 1 are emitted with flag "pole"; any other per-cell failure becomes
-    flag "error:<type>" without aborting the scan.  Each row of fixed Im(s)
-    is one zeta call over its cells off the pole; a row whose call raises
-    is evaluated again cell by cell, so each cell keeps its own flag.
-    Ordering is im-major (im outer, re inner) and deterministic.
+    flag "error:<type>" without aborting the scan.  All cells off the pole
+    are one zeta call; if it raises, the scan falls back to one call per
+    row of fixed Im(s), and a row whose call raises is evaluated again cell
+    by cell, so each cell keeps its own flag.  A point has the same bits in
+    every array, so the fallback changes no value.  Ordering is im-major
+    (im outer, re inner) and deterministic.
     """
     re0, re1 = float(re_range[0]), float(re_range[1])
     im0, im1 = float(im_range[0]), float(im_range[1])
+    if not all(map(math.isfinite, (re0, re1, im0, im1))):
+        raise DomainError("scan ranges must be finite")
     if re0 <= 0.0:
         raise DomainError("scan grid must satisfy Re(s) > 0")
     if re1 < re0 or im1 < im0:
@@ -277,18 +281,23 @@ def scan_s_plane(re_range: tuple[float, float], im_range: tuple[float, float],
         except Exception as exc:  # per-cell isolation, scan must not abort
             return ScanCell(s, math.nan, math.nan, lam, real, f"error:{type(exc).__name__}")
 
-    cells = []
-    for i in ims:
-        row = [complex(r, i) for r in res]
-        todo = [s for s in row if abs(s - 1.0) >= _POLE_RADIUS]
+    def zetas(batch: list[complex]) -> Optional[dict[complex, complex]]:
+        # one Euler-Maclaurin call, zeta(s) = zeta(s, 1); the tail gate
+        # judges the whole call, so one failing point fails it (None)
         try:
-            # one Euler-Maclaurin call per row: zeta(s) = zeta(s, 1)
-            zs = hurwitz_zeta(np.array(todo), 1.0, cfg) if todo else ()
-            zeta_at = {s: complex(z) for s, z in zip(todo, zs)}
-        except Exception:  # one failing point fails the row: redo it per cell
-            zeta_at = {}
-        cells.extend(cell(s, zeta_at.get(s)) for s in row)
-    return cells
+            zs = hurwitz_zeta(np.array(batch), 1.0, cfg) if batch else ()
+        except Exception:
+            return None
+        return dict(zip(batch, map(complex, zs)))
+
+    grid = [[complex(r, i) for r in res] for i in ims]
+    rows = [[s for s in row if abs(s - 1.0) >= _POLE_RADIUS] for row in grid]
+    zeta_at = zetas([s for row in rows for s in row])
+    if zeta_at is None:
+        zeta_at = {}
+        for row in rows:
+            zeta_at.update(zetas(row) or {})
+    return [cell(s, zeta_at.get(s)) for row in grid for s in row]
 
 
 @dataclass(frozen=True)
@@ -313,6 +322,8 @@ def half_shift_norm(s: complex, T: float, quad_points: int = 4000,
     T = float(T)
     if T < 100.0:
         raise DomainError("T must be >= 100 for a meaningful tail fit")
+    if not T < math.inf:
+        raise DomainError(f"T must be finite, got {T}")
     if quad_points < 1000:
         raise DomainError("quad_points must be >= 1000")
 

@@ -5,8 +5,10 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from fracsum import cli
 from fracsum.cli import main, parse_complex, read_records_csv
 
 
@@ -395,6 +397,79 @@ def test_zeros_numeric_residual_flag(capsys):
     row = rec["results"]["zeros"][0]
     assert not math.isnan(row["numeric_residual"])
     assert row["numeric_residual"] < 1e-3
+
+
+# ---------------------------------------------------- non-finite inputs
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "0.2", "0.4", "nan", "10", "3", "3"),
+    ("scan", "0.2", "inf", "0", "10", "3", "3"),
+    ("eval", "sumlog", "--x", "inf"),
+    ("norm", "--s", "0.75", "--T", "inf"),
+    ("eval", "fracpow", "--x", "0.5", "--s", "nan+1i"),
+    ("eval", "sigma", "--x", "0.5", "--s", "inf"),
+])
+def test_non_finite_input_is_domain_error_exit_2(capsys, recwarn, argv):
+    # refused at the library entry, before any kernel call could warn
+    code, rec = run_json(capsys, *argv)
+    assert code == 2
+    assert rec["command"] == argv[0]
+    assert rec["diagnostics"][0]["error_class"] == "DomainError"
+    assert "finite" in rec["diagnostics"][0]["message"]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# ------------------------------------------------------------- JSON text
+
+def _complex_json(value):
+    # the reference layout: json's own indent-2 encoder with this hook
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def to_json(value):
+    parts = []
+    cli._json_parts(value, parts)
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324, 3,
+    True, False, None, {}, [], (), "",
+    ["caf\u00e9", "\u2211 \U0001F600", 'say "hi"', "tab\tnew\nline\x01\x7f\\"],
+    {"k\u00e9y \"q\"": "\x00", "nan": math.nan, "inf": -math.inf, "z": -0.0},
+    2.5 - 0.0j, complex(math.nan, math.inf),
+    {"s": 0.5 + 14.1j, "row": [1 - 2j, {"deep": 3j}]},
+    (1, (2.5, "x"), {"t": (True, None)}),
+    np.float64(0.1), [np.float64(math.nan), np.float64(-math.inf)],
+    {"a": np.float64(1.5), "b": 2}, {"a": 1, 2: "int key", None: False},
+    {2: [1], 1.5: {"b": 1}, True: [], None: ()},
+    [{"s_re": 0.1, "flag": "ok", "real": False}, {"s_re": math.nan, "flag": None}],
+    {"n": 3, "rows": [{"x": 1.0}], "empty": {}, "none": [], "d": {"y": [0.5j]}},
+])
+def test_json_writer_matches_json_dumps(value):
+    assert to_json(value) == json.dumps(value, indent=2, default=_complex_json)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.bool_(True)])
+def test_json_writer_rejects_what_json_rejects(value):
+    for wrapped in (value, [value], {"a": value}, {"a": 1, "b": value}):
+        with pytest.raises(TypeError):
+            json.dumps(wrapped, indent=2, default=_complex_json)
+        with pytest.raises(TypeError):
+            to_json(wrapped)
+
+
+def test_json_writer_on_scan_record(capsys):
+    # the pole cell gives NaN, the others a mix of floats, strings and
+    # booleans; 2501 cells make more pieces than one written chunk
+    code, out = run_cli(capsys, "--format", "json",
+                        "scan", "0.9", "1.1", "-0.5", "0.5", "41", "61")
+    assert code == 0
+    record = json.loads(out)
+    assert [c["flags"] for c in record["results"]["cells"]].count("pole") == 1
+    assert out == json.dumps(record, indent=2) + "\n"
 
 
 # -------------------------------------------------------------- process

@@ -19,7 +19,7 @@ from fracsum import (
     riemann_zeta,
     scan_s_plane,
 )
-from fracsum import spectrum
+from fracsum import specfun, spectrum
 from oracles import alt_series_zeta
 
 # classical ordinates, used only as coarse anchors (1e-6)
@@ -281,6 +281,32 @@ def test_scan_row_with_failing_and_good_cells():
     assert [c.flag for c in cells] == ["error:ConvergenceError"] * 9 + ["ok"] * 21
     for c in cells[9:]:
         assert c.abs_zeta == abs(riemann_zeta(c.s))
+
+
+def test_scan_clean_grid_is_one_zeta_call(monkeypatch):
+    calls = []
+    kernel = specfun.hurwitz_zeta_with_error
+
+    def counting(s, a, cfg=specfun.DEFAULT_SPECFUN):
+        calls.append(np.size(s))
+        return kernel(s, a, cfg)
+
+    monkeypatch.setattr(specfun, "hurwitz_zeta_with_error", counting)
+    cells = scan_s_plane((0.1, 0.9), (10.0, 30.0), 41, 201)
+    assert calls == [41 * 201]
+    assert all(c.flag == "ok" for c in cells)
+
+
+def test_scan_grid_with_failing_upper_rows():
+    # the grid's one call raises; rows 110 and 120 fail their own calls
+    # too, and their cells are evaluated one by one
+    cells = scan_s_plane((0.1, 3.0), (10.0, 120.0), 30, 12)
+    fail = "error:ConvergenceError"
+    assert [c.flag for c in cells] == (["ok"] * 300 + [fail] * 3 + ["ok"] * 27
+                                       + [fail] * 9 + ["ok"] * 21)
+    for c in cells:
+        if c.flag == "ok":
+            assert c.abs_zeta == abs(riemann_zeta(c.s))
 
 
 def test_scan_rejects_left_half_plane():
