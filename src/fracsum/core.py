@@ -186,32 +186,28 @@ def linear_combination(terms: Sequence[tuple[complex, EvalFn]], label: str = "")
     return EvalFn(lo, ev, dv, label=label or " + ".join(f"{c}*{f.label}" for c, f in terms))
 
 
-def forward_difference(f: EvalFn) -> EvalFn:
-    """(Delta f)(x) = f(x) - f(x-1); maps U-functions to U+-functions."""
+def _difference(f: EvalFn, h: float, name: str) -> EvalFn:
+    """f(x) - f(x - h), defined on the domain of f shifted right by h."""
 
     def ev(x):
-        return f.eval(x) - f.eval(x - 1.0)
+        return f.eval(x) - f.eval(x - h)
 
     dv = None
     if f.analytic_derivative is not None:
         def dv(x):  # noqa: F811
-            return f.analytic_derivative(x) - f.analytic_derivative(x - 1.0)
+            return f.analytic_derivative(x) - f.analytic_derivative(x - h)
 
-    return EvalFn(f.domain_lo + 1.0, ev, dv, label=f"Delta[{f.label}]")
+    return EvalFn(f.domain_lo + h, ev, dv, label=f"{name}[{f.label}]")
+
+
+def forward_difference(f: EvalFn) -> EvalFn:
+    """(Delta f)(x) = f(x) - f(x-1); maps U-functions to U+-functions."""
+    return _difference(f, 1.0, "Delta")
 
 
 def half_difference(f: EvalFn) -> EvalFn:
     """(Delta_1/2 f)(x) = f(x) - f(x - 1/2); shifts the domain by one half."""
-
-    def ev(x):
-        return f.eval(x) - f.eval(x - 0.5)
-
-    dv = None
-    if f.analytic_derivative is not None:
-        def dv(x):  # noqa: F811
-            return f.analytic_derivative(x) - f.analytic_derivative(x - 0.5)
-
-    return EvalFn(f.domain_lo + 0.5, ev, dv, label=f"HalfDelta[{f.label}]")
+    return _difference(f, 0.5, "HalfDelta")
 
 
 #: number of points on the base index schedule

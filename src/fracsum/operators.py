@@ -58,7 +58,7 @@ def apply_x_mult(f: EvalFn) -> EvalFn:
     """(x f)(x) = x * f(x) on the same domain, product rule for the derivative."""
 
     def ev(x):
-        return np.asarray(x, dtype=float) * f.eval(x) if isinstance(x, np.ndarray) else x * f.eval(x)
+        return x * f.eval(x)
 
     dv = None
     if f.analytic_derivative is not None:

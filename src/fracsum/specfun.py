@@ -16,10 +16,13 @@ corrections.  That keeps one code path and one error model for
 Arguments named ``a``, ``z``, ``t`` or ``x`` accept either a scalar or a
 1-D numpy array and the result matches the input shape.  ``hurwitz_zeta``
 also takes a 1-D array of ``s`` with a scalar ``a``, in the same kernel;
-that is how ``hardy_z`` evaluates zeta over many ``s`` at once, and how
-the strip scan evaluates it over its whole grid in one call.  A point's
-value has the same bits alone and in any array.  ``riemann_zeta`` stays
-scalar and cached.
+that is how ``hardy_z`` evaluates zeta over many ``s`` at once.  A point's
+value has the same bits alone and in any array.  The kernel,
+``_hurwitz_kernel``, returns each point's tail estimate and checks no
+target; ``hurwitz_zeta_with_error`` adds the gate that fails the whole
+call.  The strip scan calls the kernel once over its whole grid and flags
+each point that misses the target, with no fallback.  ``riemann_zeta``
+stays scalar and cached.
 
 All functions are pure; the only shared state is the constant Bernoulli
 table.
@@ -155,7 +158,9 @@ def hurwitz_zeta_with_error(s, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     points of the first omitted Bernoulli correction, each at its own s and
     tail start w, times the standard |s+2M+1|/(sigma+2M+1) safety factor,
     plus the largest rounding floor.  The truncation gate fails the whole
-    call if any point misses the target.  An empty array gives an empty
+    call at the first point, in order, that misses the target; a caller
+    that wants each point judged on its own (the strip scan) takes the
+    kernel's per-point estimates instead.  An empty array gives an empty
     value and a zero bound.  ``hurwitz_zeta`` is the value-only wrapper.
 
     Only points with a < em_terms sum em_terms explicit terms (tail at
@@ -165,6 +170,37 @@ def hurwitz_zeta_with_error(s, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     bounded however long the array is.  A point's value has the same bits
     alone and in every array that holds it, whichever argument is the
     array.
+    """
+    value, each, rounding = _hurwitz_kernel(s, a, cfg)
+    if isinstance(each, np.ndarray):  # an array of s, an estimate per point
+        # the first point that misses, as scalar calls in order would; a
+        # NaN estimate misses nothing, as in its own scalar call
+        miss = np.flatnonzero(each > TARGET_ABS_TOL)
+        at = (float(each[miss[0]]), complex(np.ravel(s)[miss[0]])) if miss.size else None
+        each, rounding = float(each.max(initial=0.0)), float(rounding.max(initial=0.0))
+    else:
+        at = (each, complex(s)) if each > TARGET_ABS_TOL else None
+    if at:
+        raise ConvergenceError(
+            f"Euler-Maclaurin tail estimate {at[0]:.3e} exceeds target "
+            f"{TARGET_ABS_TOL:.3e} for s={at[1]}; raise em_terms or the order"
+        )
+    _require_finite(value, "hurwitz_zeta")
+    return value, each + rounding
+
+
+def _hurwitz_kernel(s, a, cfg: SpecFunConfig):
+    """Hurwitz zeta(s, a) with each point's truncation estimate, ungated.
+
+    Arguments as for ``hurwitz_zeta_with_error``.  Returns
+    ``(value, each, rounding)``: the value in the shape of the array
+    argument; the first omitted Bernoulli correction times the safety
+    factor, at the smallest tail start w; and the rounding floor.  For an
+    array of s the last two are arrays over s, for a scalar s they are
+    floats.  No target is checked and a non-finite value is returned as it
+    is.  An array of s raises only for a pole, Re(s) <= -2
+    EM_BERNOULLI_ORDER, an invalid a or array shape, and
+    sigma + 2M + 1 <= 0, where no estimate exists.
     """
     batch = isinstance(s, (np.ndarray, list, tuple)) and np.ndim(s) > 0
     if batch:
@@ -184,7 +220,7 @@ def hurwitz_zeta_with_error(s, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
         )
     arr, scalar = _as_positive_array(a, "a")
     if not (s.size if batch else arr.size):
-        return np.zeros(0, dtype=complex), 0.0
+        return np.zeros(0, dtype=complex), np.zeros(0), np.zeros(0)
     top = np.maximum if batch else max
 
     n_terms = cfg.em_terms
@@ -248,16 +284,6 @@ def hurwitz_zeta_with_error(s, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     kappa = abs(s + 2 * order + 1) / sigma_shift  # >= 1, as |z| >= Re z
     each = (abs(_BERNOULLI[2 * order + 2] / fact_next) * abs(poch_next) * kappa
             * float(w.min()) ** (-sigma_shift))
-    truncation = float(each.max()) if batch else each
-    if truncation > TARGET_ABS_TOL:
-        at, s_at = truncation, s
-        if batch:  # the first point that misses, as scalar calls in order would
-            i = int(np.argmax(each > TARGET_ABS_TOL))
-            at, s_at = float(each[i]), complex(s[i])
-        raise ConvergenceError(
-            f"Euler-Maclaurin tail estimate {at:.3e} exceeds target "
-            f"{TARGET_ABS_TOL:.3e} for s={s_at}; raise em_terms or the order"
-        )
     # Rounding floor: each power carries a phase error ~ eps |s| log(base)
     # scaled by the largest term magnitude (the first term at sigma >= 0,
     # the last explicit one below).  Unlike the truncation this is not
@@ -265,16 +291,17 @@ def hurwitz_zeta_with_error(s, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     # trip the convergence gate.
     amin, amax = float(arr.min()), float(arr.max())
     sigma = s.real
-    peak = top(top(amin ** (-sigma), (n_terms - 1 + amax) ** (-sigma)),
-               top((n_terms + amax) ** (1.0 - sigma) / abs(s - 1.0),
-                   float(np.abs(value).max())))
+    try:
+        peak = top(top(amin ** (-sigma), (n_terms - 1 + amax) ** (-sigma)),
+                   top((n_terms + amax) ** (1.0 - sigma) / abs(s - 1.0),
+                       float(np.abs(value).max())))
+    except OverflowError:  # a Python float power (scalar s); numpy's is inf
+        peak = math.inf
     phase = abs(s) * math.log(n_terms + amax)
     rounding = 4.0 * np.finfo(float).eps * (1.0 + phase) * peak
-    bound = truncation + (float(rounding.max()) if batch else rounding)
-    _require_finite(value, "hurwitz_zeta")
     if scalar and not batch:
-        return complex(value[0]), bound
-    return value, bound
+        return complex(value[0]), each, rounding
+    return value, each, rounding
 
 
 def hurwitz_zeta(s: complex, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):

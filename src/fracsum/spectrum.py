@@ -30,7 +30,14 @@ from .core import (
 )
 from .errors import DomainError, PoleError
 from .operators import DEFAULT_OPERATOR, OperatorConfig, apply_R
-from .specfun import DEFAULT_SPECFUN, SpecFunConfig, hardy_z, hurwitz_zeta, riemann_zeta
+from .specfun import (
+    DEFAULT_SPECFUN,
+    TARGET_ABS_TOL,
+    SpecFunConfig,
+    _hurwitz_kernel,
+    hardy_z,
+    riemann_zeta,
+)
 
 #: |Im(lambda)| below which an eigenvalue counts as real
 REALITY_TOL = 1e-9
@@ -248,13 +255,13 @@ def scan_s_plane(re_range: tuple[float, float], im_range: tuple[float, float],
 
     The grid must sit in Re(s) > 0 (outside that the candidates leave the
     operator domain and the sweep is meaningless).  Cells within 1e-3 of
-    s = 1 are emitted with flag "pole"; any other per-cell failure becomes
-    flag "error:<type>" without aborting the scan.  All cells off the pole
-    are one zeta call; if it raises, the scan falls back to one call per
-    row of fixed Im(s), and a row whose call raises is evaluated again cell
-    by cell, so each cell keeps its own flag.  A point has the same bits in
-    every array, so the fallback changes no value.  Ordering is im-major
-    (im outer, re inner) and deterministic.
+    s = 1 are emitted with flag "pole".  All other cells are one call of
+    the Hurwitz kernel, zeta(s) = zeta(s, 1), which reports each point's
+    tail estimate instead of failing the call; a cell whose estimate
+    misses TARGET_ABS_TOL, or whose value is not finite, is flagged
+    "error:ConvergenceError" with NaN fields, exactly when riemann_zeta
+    alone raises there, and the scan carries on.  There is no fallback
+    path.  Ordering is im-major (im outer, re inner) and deterministic.
     """
     re0, re1 = float(re_range[0]), float(re_range[1])
     im0, im1 = float(im_range[0]), float(im_range[1])
@@ -269,35 +276,25 @@ def scan_s_plane(re_range: tuple[float, float], im_range: tuple[float, float],
     res = np.linspace(re0, re1, n_re)
     ims = np.linspace(im0, im1, n_im)
 
-    def cell(s: complex, z: Optional[complex]) -> ScanCell:
+    grid = [complex(r, i) for i in ims for r in res]
+    off_pole = [s for s in grid if abs(s - 1.0) >= _POLE_RADIUS]
+    # Re(s) > 0 off the pole leaves the kernel no error of the whole call
+    # (those are the pole, Re(s) <= -48 and sigma + 2M + 1 <= 0)
+    zs, each, _ = _hurwitz_kernel(np.array(off_pole), 1.0, cfg)
+    failed = (each > TARGET_ABS_TOL) | ~np.isfinite(zs)
+    zeta = iter(zip(zs.tolist(), failed.tolist()))
+
+    def cell(s: complex) -> ScanCell:
         lam = eigenvalue_of(s)
         real = abs(lam.imag) < REALITY_TOL
         if abs(s - 1.0) < _POLE_RADIUS:
             return ScanCell(s, math.nan, math.nan, lam, real, "pole")
-        try:
-            if z is None:
-                z = riemann_zeta(s, cfg)
-            return ScanCell(s, abs(z), abs((s - 1.0) * z), lam, real, "ok")
-        except Exception as exc:  # per-cell isolation, scan must not abort
-            return ScanCell(s, math.nan, math.nan, lam, real, f"error:{type(exc).__name__}")
+        z, fail = next(zeta)  # the off-pole cells come in grid order
+        if fail:
+            return ScanCell(s, math.nan, math.nan, lam, real, "error:ConvergenceError")
+        return ScanCell(s, abs(z), abs((s - 1.0) * z), lam, real, "ok")
 
-    def zetas(batch: list[complex]) -> Optional[dict[complex, complex]]:
-        # one Euler-Maclaurin call, zeta(s) = zeta(s, 1); the tail gate
-        # judges the whole call, so one failing point fails it (None)
-        try:
-            zs = hurwitz_zeta(np.array(batch), 1.0, cfg) if batch else ()
-        except Exception:
-            return None
-        return dict(zip(batch, map(complex, zs)))
-
-    grid = [[complex(r, i) for r in res] for i in ims]
-    rows = [[s for s in row if abs(s - 1.0) >= _POLE_RADIUS] for row in grid]
-    zeta_at = zetas([s for row in rows for s in row])
-    if zeta_at is None:
-        zeta_at = {}
-        for row in rows:
-            zeta_at.update(zetas(row) or {})
-    return [cell(s, zeta_at.get(s)) for row in grid for s in row]
+    return [cell(s) for s in grid]
 
 
 @dataclass(frozen=True)

@@ -389,6 +389,16 @@ def test_tail_outside_validity_raises():
             hurwitz_zeta_with_error(0.5 + 300j, a)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_is_a_convergence_error():
+    # a value past the float range is refused as non-finite, and where the
+    # tail gate also fails it speaks first, as it does for any other point
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        hurwitz_zeta_with_error(40.0, 1e-10)
+    with pytest.raises(ConvergenceError, match="tail estimate"):
+        hurwitz_zeta_with_error(2.0 + 300j, 1e-160)
+
+
 def test_failing_batch_names_first_failing_point():
     # an array call that trips the tail gate reports the s and the estimate
     # that the first failing call of a loop of scalar calls would report
@@ -404,3 +414,29 @@ def test_failing_batch_names_first_failing_point():
             messages.append(str(exc))
     assert len(messages) > 1  # so the first failing t is not the worst one
     assert str(batch.value) == messages[0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow far up the line
+def test_kernel_flags_agree_with_scalar_gate():
+    # the per-point estimates of one array call flag a point exactly when
+    # its scalar call raises, and every other point keeps the scalar bits;
+    # for an array the estimate is sized with numpy's product, so this is
+    # checked on a grid that crosses the target.  The last two points are
+    # far up the line: the first has a NaN estimate and a finite value, the
+    # second misses, and the array gate still raises for the second
+    re, im = np.meshgrid(np.linspace(0.1, 3.0, 30), np.linspace(95.0, 150.0, 56))
+    far = [200.44674247267193 + 18530676611667.473j,
+           2.3522452121271984 + 18530676611667.473j]
+    s = np.concatenate([(re + 1j * im).ravel(), far])
+    value, each, _ = specfun._hurwitz_kernel(s, 1.0, specfun.DEFAULT_SPECFUN)
+    flagged = (each > specfun.TARGET_ABS_TOL) | ~np.isfinite(value)
+    for si, vi, fi in zip(s, value, flagged):
+        try:
+            scalar = hurwitz_zeta_with_error(complex(si), 1.0)[0]
+        except ConvergenceError:
+            assert fi
+        else:
+            assert not fi and np.array([vi]).tobytes() == np.array([scalar]).tobytes()
+    assert 0 < flagged.sum() < s.size
+    with pytest.raises(ConvergenceError, match=r"for s=\(2\.35"):
+        hurwitz_zeta_with_error(np.array(far), 1.0)

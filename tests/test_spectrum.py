@@ -19,7 +19,7 @@ from fracsum import (
     riemann_zeta,
     scan_s_plane,
 )
-from fracsum import specfun, spectrum
+from fracsum import spectrum
 from oracles import alt_series_zeta
 
 # classical ordinates, used only as coarse anchors (1e-6)
@@ -275,31 +275,36 @@ def test_scan_isolates_per_cell_failures():
 
 
 def test_scan_row_with_failing_and_good_cells():
-    # at Im s = 120 the tail gate refuses Re(s) < ~1 and accepts the rest, so
-    # the row's one zeta call raises and its cells are evaluated one by one
+    # at Im s = 120 the tail estimate misses the target for Re(s) < ~1 and
+    # meets it for the rest; each cell is judged by its own estimate
     cells = scan_s_plane((0.1, 3.0), (120.0, 120.0), 30, 1)
     assert [c.flag for c in cells] == ["error:ConvergenceError"] * 9 + ["ok"] * 21
     for c in cells[9:]:
         assert c.abs_zeta == abs(riemann_zeta(c.s))
 
 
-def test_scan_clean_grid_is_one_zeta_call(monkeypatch):
+@pytest.mark.parametrize("im_range, n_error", [((10.0, 30.0), 0), ((90.0, 130.0), 3649)],
+                         ids=["clean", "failing"])
+def test_scan_is_one_kernel_call(monkeypatch, im_range, n_error):
+    # clean or failing, the grid is one kernel call over all its cells (a
+    # failing 41x201 grid once took 1 + 201 row calls + 3649 cell calls)
     calls = []
-    kernel = specfun.hurwitz_zeta_with_error
+    kernel = spectrum._hurwitz_kernel
 
-    def counting(s, a, cfg=specfun.DEFAULT_SPECFUN):
+    def counting(s, a, cfg):
         calls.append(np.size(s))
         return kernel(s, a, cfg)
 
-    monkeypatch.setattr(specfun, "hurwitz_zeta_with_error", counting)
-    cells = scan_s_plane((0.1, 0.9), (10.0, 30.0), 41, 201)
+    monkeypatch.setattr(spectrum, "_hurwitz_kernel", counting)
+    cells = scan_s_plane((0.1, 0.9), im_range, 41, 201)
     assert calls == [41 * 201]
-    assert all(c.flag == "ok" for c in cells)
+    assert sum(c.flag == "error:ConvergenceError" for c in cells) == n_error
+    assert sum(c.flag == "ok" for c in cells) == 41 * 201 - n_error
 
 
 def test_scan_grid_with_failing_upper_rows():
-    # the grid's one call raises; rows 110 and 120 fail their own calls
-    # too, and their cells are evaluated one by one
+    # rows 110 and 120 hold cells whose tail estimates miss the target;
+    # each is flagged on its own and every other cell stays ok
     cells = scan_s_plane((0.1, 3.0), (10.0, 120.0), 30, 12)
     fail = "error:ConvergenceError"
     assert [c.flag for c in cells] == (["ok"] * 300 + [fail] * 3 + ["ok"] * 27
