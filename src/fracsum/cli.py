@@ -9,8 +9,9 @@ apart from the timing field.
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 3 convergence failure in strict mode.  A domain error includes an
 unwritable ``--csv`` path and a non-finite input; like every failure it
-still emits its record.  Global flags mirror the config types and fall
-back to FRACSUM_* environment variables before built-in defaults.
+still emits its record.  Each global flag sets one field of a config
+type, and only when given: every default is the library's, except that
+the CLI is strict.  The environment sets nothing.
 """
 
 from __future__ import annotations
@@ -18,20 +19,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import replace
 from functools import lru_cache
 
-from .core import (
-    SCHEDULE_LEN,
-    SummationConfig,
-    frac_power,
-    fractional_sum_limit,
-    power_fn,
-    sum_log,
-)
+from .core import SummationConfig, frac_power, fractional_sum_limit, power_fn, sum_log
 from .errors import ConvergenceError, DomainError, FracsumError
 from .operators import OperatorConfig
 from .specfun import TARGET_ABS_TOL, SpecFunConfig, hurwitz_zeta_with_error
@@ -121,13 +114,6 @@ def _json_parts(value, out: list, pad: str = "") -> None:
     out.append("\n" + pad + brackets[1])
 
 
-def _strict_word(raw: str) -> bool:
-    word = raw.strip().lower()
-    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-        raise ValueError(raw)
-    return word in ("1", "true", "yes", "on")
-
-
 def build_parser() -> argparse.ArgumentParser:
     # global flags are declared on a parent with SUPPRESS defaults so they
     # may appear before or after the subcommand without the subparser's
@@ -140,15 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS,
                         help="raise on non-converged limits (default: on)")
     common.add_argument("--abs-tol", type=float, default=argparse.SUPPRESS,
-                        help="summation-limit tolerance (default: 1e-8)")
-    common.add_argument("--n0", type=int, default=argparse.SUPPRESS,
-                        help="base index of the summation schedule (default: 64)")
+                        help="summation-limit tolerance "
+                             f"(default: {SummationConfig.abs_tol})")
     common.add_argument("--diff-step", type=float, default=argparse.SUPPRESS,
-                        help="finite-difference step for p (default: 1e-4)")
+                        help="finite-difference step for p "
+                             f"(default: {OperatorConfig.diff_step})")
     common.add_argument("--em-terms", type=int, default=argparse.SUPPRESS,
                         help="explicit terms before the Euler-Maclaurin tail, "
                              "taken only by Hurwitz points with a below it "
-                             "(default: 50)")
+                             f"(default: {SpecFunConfig.em_terms})")
     common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
                         help="accepted for compatibility; has no effect")
 
@@ -197,34 +183,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _opt(args, name, cast, fallback):
-    # precedence: explicit flag > FRACSUM_<NAME> environment > built-in default
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    env = f"FRACSUM_{name.upper()}"
-    raw = os.environ.get(env)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise DomainError(f"bad value {raw!r} for {env}")
-
-
 def _configs(args):
-    strict = _opt(args, "strict", _strict_word, True)
-    abs_tol = _opt(args, "abs_tol", float, 1e-8)
-    n0 = _opt(args, "n0", int, 64)
-    diff_step = _opt(args, "diff_step", float, 1e-4)
-    em_terms = _opt(args, "em_terms", int, 50)
-    sum_cfg = SummationConfig(
-        n0=n0, abs_tol=abs_tol, strict=strict,
-        max_n=max(SummationConfig.max_n, n0 * 2 ** (SCHEDULE_LEN - 1)),
-    )
-    op_cfg = OperatorConfig(diff_step=diff_step, sum_cfg=sum_cfg)
-    spec_cfg = SpecFunConfig(em_terms=em_terms)
-    return sum_cfg, op_cfg, spec_cfg
+    """(OperatorConfig, SpecFunConfig) of the global flags given; a flag
+    left out is absent from args (SUPPRESS), so its field keeps the
+    library default.  The one summation config is op_cfg.sum_cfg."""
+    given = vars(args)
+
+    def pick(name):
+        return {name: given[name]} if name in given else {}
+
+    sum_cfg = SummationConfig(strict=given.get("strict", True), **pick("abs_tol"))
+    return (OperatorConfig(sum_cfg=sum_cfg, **pick("diff_step")),
+            SpecFunConfig(**pick("em_terms")))
 
 
 def _write_csv(path: str, columns, rows) -> None:
@@ -257,7 +227,7 @@ def read_records_csv(path: str) -> list[dict]:
 
 
 def _cmd_eval(args, cfgs, diagnostics):
-    sum_cfg, _, spec_cfg = cfgs
+    op_cfg, spec_cfg = cfgs
     x = float(args.x)
     inputs = {"expr": args.expr, "x": x}
     if args.expr == "sumlog":
@@ -282,7 +252,7 @@ def _cmd_eval(args, cfgs, diagnostics):
     # asymptotically flat only for Re(s) > -1, the domain of fracpow too
     if s.real <= -1.0:
         raise DomainError(f"eval sigma requires Re(s) > -1, got {s}")
-    res = fractional_sum_limit(power_fn(s), x, sum_cfg)
+    res = fractional_sum_limit(power_fn(s), x, op_cfg.sum_cfg)
     results = {
         "value": res.value,
         "err_estimate": res.err_estimate,
@@ -296,12 +266,11 @@ def _cmd_eval(args, cfgs, diagnostics):
 
 
 def _cmd_verify(args, cfgs, diagnostics):
-    sum_cfg, op_cfg, spec_cfg = cfgs
+    op_cfg, spec_cfg = cfgs
     # verification always measures leniently (see README): each check
     # reports the defect its limits reached, converged or not
-    sum_cfg = replace(sum_cfg, strict=False)
-    op_cfg = replace(op_cfg, sum_cfg=sum_cfg)
-    checks = run_suite(args.suite, args.seed, sum_cfg, op_cfg, spec_cfg)
+    op_cfg = replace(op_cfg, sum_cfg=replace(op_cfg.sum_cfg, strict=False))
+    checks = run_suite(args.suite, args.seed, op_cfg, spec_cfg)
     rows = [{
         "name": c.name, "passed": c.passed, "measure": c.measure,
         "tolerance": c.tolerance, "detail": c.detail,
@@ -315,7 +284,7 @@ def _cmd_verify(args, cfgs, diagnostics):
 
 
 def _cmd_zeros(args, cfgs, diagnostics):
-    _, op_cfg, spec_cfg = cfgs
+    op_cfg, spec_cfg = cfgs
     zeros = find_critical_zeros(args.t_min, args.t_max, spec_cfg)
     rows = []
     for z in zeros:
@@ -346,7 +315,7 @@ def _cmd_zeros(args, cfgs, diagnostics):
 
 
 def _cmd_scan(args, cfgs, diagnostics):
-    _, _, spec_cfg = cfgs
+    _, spec_cfg = cfgs
     cells = scan_s_plane((args.re0, args.re1), (args.im0, args.im1),
                          args.n_re, args.n_im, spec_cfg)
     rows = [{
@@ -370,7 +339,7 @@ def _cmd_scan(args, cfgs, diagnostics):
 
 
 def _cmd_norm(args, cfgs, diagnostics):
-    _, _, spec_cfg = cfgs
+    _, spec_cfg = cfgs
     s = parse_complex(args.s)
     res = half_shift_norm(s, args.T, args.quad_points, spec_cfg)
     verdict = "finite-trend" if res.decay_exponent < -1.0 else "divergent-trend"

@@ -66,9 +66,12 @@ _TWO_PI = 2.0 * math.pi
 class EvalFn:
     """A complex-valued function on (domain_lo, inf).
 
-    ``eval`` is the pointwise map; it must accept a float or a 1-D numpy
-    array and return values of matching shape (wrap scalar-only callables
-    with :func:`pointwise_fn`).  ``analytic_derivative``, when present, is
+    ``eval`` is the pointwise map; it receives a 1-D float array and
+    returns values of the same shape (wrap scalar-only callables with
+    :func:`pointwise_fn`).  Calling the function, or its ``derivative``,
+    checks the domain and adapts a scalar argument: ``eval`` sees a
+    one-point array and the caller gets its element back.
+    ``analytic_derivative``, when present, takes the same arrays and is
     held to the testable contract of matching Richardson-improved central
     differences (step 1e-5) to 1e-6 at interior points.
     """
@@ -78,35 +81,32 @@ class EvalFn:
     analytic_derivative: Optional[Callable] = None
     label: str = ""
 
-    def __call__(self, x):
+    def _at(self, fn: Callable, x, what: str):
         x = np.asarray(x, dtype=float)
         if x.size and not np.all(x > self.domain_lo):
-            raise DomainError(
-                f"{self.label or 'function'} is defined on ({self.domain_lo}, inf); "
-                f"got argument min {x.min()}"
-            )
-        return self.eval(x if x.ndim else float(x))
+            raise DomainError(f"{what} is defined on ({self.domain_lo}, inf); "
+                              f"got argument min {x.min()}")
+        out = fn(x.reshape(-1))
+        return out[0] if x.ndim == 0 else out.reshape(x.shape)
+
+    def __call__(self, x):
+        return self._at(self.eval, x, self.label or "function")
 
     def derivative(self, x):
         if self.analytic_derivative is None:
             raise DomainError(f"{self.label or 'function'} carries no analytic derivative")
-        x = np.asarray(x, dtype=float)
-        if x.size and not np.all(x > self.domain_lo):
-            raise DomainError(f"derivative of {self.label or 'function'} evaluated outside domain")
-        return self.analytic_derivative(x if x.ndim else float(x))
+        return self._at(self.analytic_derivative, x,
+                        f"derivative of {self.label or 'function'}")
 
 
 def pointwise_fn(domain_lo: float, fn: Callable[[float], complex],
                  derivative: Optional[Callable[[float], complex]] = None,
                  label: str = "user") -> EvalFn:
-    """Wrap a scalar-only callable as an EvalFn (adds the array adapter)."""
+    """Wrap a scalar-only callable as an EvalFn: it is called once per
+    float of the 1-D array ``eval`` receives."""
 
     def _vec(g):
-        def wrapped(x):
-            if isinstance(x, np.ndarray) and x.ndim:
-                return np.array([g(float(v)) for v in x])
-            return g(float(x))
-        return wrapped
+        return lambda x: np.array([g(v) for v in x.tolist()])
 
     return EvalFn(domain_lo, _vec(fn),
                   _vec(derivative) if derivative is not None else None, label)
@@ -114,21 +114,13 @@ def pointwise_fn(domain_lo: float, fn: Callable[[float], complex],
 
 def const_fn(c: complex = 1.0) -> EvalFn:
     c = complex(c)
-
-    def ev(x):
-        x = np.asarray(x)
-        return c if x.ndim == 0 else np.full(x.shape, c)
-
-    def dv(x):
-        x = np.asarray(x)
-        return 0j if x.ndim == 0 else np.zeros(x.shape, dtype=complex)
-
-    return EvalFn(-1.0, ev, dv, label=f"const({c})")
+    return EvalFn(-1.0, lambda x: np.full(x.shape, c),
+                  lambda x: np.zeros(x.shape, dtype=complex), label=f"const({c})")
 
 
 def log_fn() -> EvalFn:
     """x |-> log x on (0, inf)."""
-    return EvalFn(0.0, np.log, lambda x: 1.0 / np.asarray(x, dtype=float), label="log")
+    return EvalFn(0.0, np.log, lambda x: 1.0 / x, label="log")
 
 
 def _finite_s(s: complex, who: str) -> complex:
@@ -346,6 +338,8 @@ def _wynn(partials: list[complex]) -> complex:
 
 #: most points per integrand call when the rows of several limits share it
 _ROW_BLOCK = 4096
+#: most terms f(x0+1) + ... + f(x) the exact shift of an x >= 1 may add
+MAX_SHIFT_TERMS = 2 ** 20
 
 
 def _row_sums(g: Callable, x0s: list[float], v: np.ndarray,
@@ -369,12 +363,17 @@ def fractional_sum_limits(f: EvalFn, xs: Sequence[float],
     Each x gives, to the bit, what its limit gives when run on its own:
     every limit keeps its own partial values, ``_wynn`` and stopping step.
     No limit runs at x0 = 0 for the value, where the shift is the whole
-    sum.  A NaN or infinite x raises DomainError.  In strict mode the first
-    x, in order, whose limit did not converge raises ConvergenceError.
+    sum.  A NaN or infinite x raises DomainError, and so does an x whose
+    exact shift would take more than MAX_SHIFT_TERMS terms, before any
+    node is built.  In strict mode the first x, in order, whose limit did
+    not converge raises ConvergenceError.
     """
-    for x in xs:
-        if not -1.0 < float(x) < math.inf:
-            raise DomainError(f"fractional sums are defined for x > -1, got {float(x)}")
+    for x in map(float, xs):
+        if not -1.0 < x < math.inf:
+            raise DomainError(f"fractional sums are defined for x > -1, got {x}")
+        if x >= MAX_SHIFT_TERMS + 1.0:
+            raise DomainError(f"the exact shift adds at most {MAX_SHIFT_TERMS} terms, "
+                              f"so x must be below {MAX_SHIFT_TERMS + 1}; got {x}")
     if f.domain_lo > 0.0:
         raise DomainError("summand must be defined on all of (0, inf)")
     g = f.derivative if derivative else f

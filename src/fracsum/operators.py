@@ -90,17 +90,14 @@ def apply_p(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
     def diff(xs, stencil):
         return (4.0 * stencil(xs, h / 2.0) - stencil(xs, h)) / 3.0
 
-    def ev(x):
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        xs = np.atleast_1d(arr)
+    def ev(xs):
         out = np.empty(xs.shape, dtype=complex)
         near = (xs - f.domain_lo) < 2.0 * h
         if near.any():
             out[near] = diff(xs[near], onesided)
         if (~near).any():
             out[~near] = diff(xs[~near], central)
-        return -1j * (complex(out[0]) if scalar else out)
+        return -1j * out
 
     return EvalFn(f.domain_lo, ev, label=f"p[{f.label}]")
 
@@ -132,13 +129,11 @@ def apply_X(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
         checked.append(True)
 
     def pointwise(derivative: bool):
-        def at(x):
+        def at(xs):
             if cfg.sum_cfg.strict:
                 ensure_flat()
-            xs = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
-            values = [r.value for r in
-                      fractional_sum_limits(integrand, xs, cfg.sum_cfg, derivative)]
-            return values[0] if np.ndim(x) == 0 else np.array(values)
+            return np.array([r.value for r in fractional_sum_limits(
+                integrand, xs.tolist(), cfg.sum_cfg, derivative)])
 
         return at
 
@@ -179,10 +174,9 @@ def continuum_dilation(s: complex, verify: bool = True,
         applied = linear_combination(
             [(1.0, apply_x_mult(apply_p(w, cfg))), (1.0, apply_p(apply_x_mult(w), cfg))]
         )
-        for x in grid:
-            ratio = complex(applied(x)) / complex(w(x))
-            if abs(ratio - lam) > 1e-6 * max(1.0, abs(lam)):
-                raise ConvergenceError(
-                    f"dilation check failed at x={x}: ratio {ratio} vs {lam}"
-                )
+        ratios = applied(grid) / w(grid)
+        off = np.flatnonzero(np.abs(ratios - lam) > 1e-6 * max(1.0, abs(lam)))
+        if off.size:
+            raise ConvergenceError(f"dilation check failed at x={grid[off[0]]}: "
+                                   f"ratio {complex(ratios[off[0]])} vs {lam}")
     return lam

@@ -32,9 +32,9 @@ from .errors import DomainError, PoleError
 from .operators import DEFAULT_OPERATOR, OperatorConfig, apply_R
 from .specfun import (
     DEFAULT_SPECFUN,
-    TARGET_ABS_TOL,
     SpecFunConfig,
     _hurwitz_kernel,
+    _tail_misses,
     hardy_z,
     riemann_zeta,
 )
@@ -258,10 +258,11 @@ def scan_s_plane(re_range: tuple[float, float], im_range: tuple[float, float],
     s = 1 are emitted with flag "pole".  All other cells are one call of
     the Hurwitz kernel, zeta(s) = zeta(s, 1), which reports each point's
     tail estimate instead of failing the call; a cell whose estimate
-    misses TARGET_ABS_TOL, or whose value is not finite, is flagged
-    "error:ConvergenceError" with NaN fields, exactly when riemann_zeta
-    alone raises there, and the scan carries on.  There is no fallback
-    path.  Ordering is im-major (im outer, re inner) and deterministic.
+    misses TARGET_ABS_TOL (a NaN estimate misses), or whose value is not
+    finite, is flagged "error:ConvergenceError" with NaN fields, exactly
+    when riemann_zeta alone raises there, and the scan carries on.  There
+    is no fallback path.  Ordering is im-major (im outer, re inner) and
+    deterministic.
     """
     re0, re1 = float(re_range[0]), float(re_range[1])
     im0, im1 = float(im_range[0]), float(im_range[1])
@@ -281,7 +282,7 @@ def scan_s_plane(re_range: tuple[float, float], im_range: tuple[float, float],
     # Re(s) > 0 off the pole leaves the kernel no error of the whole call
     # (those are the pole, Re(s) <= -48 and sigma + 2M + 1 <= 0)
     zs, each, _ = _hurwitz_kernel(np.array(off_pole), 1.0, cfg)
-    failed = (each > TARGET_ABS_TOL) | ~np.isfinite(zs)
+    failed = _tail_misses(each) | ~np.isfinite(zs)
     zeta = iter(zip(zs.tolist(), failed.tolist()))
 
     def cell(s: complex) -> ScanCell:

@@ -220,13 +220,15 @@ def operator_suite(seed: int = 0,
 
 
 def run_suite(which: str, seed: int = 0,
-              sum_cfg=DEFAULT_SUMMATION,
               op_cfg: OperatorConfig = DEFAULT_OPERATOR,
               spec_cfg=DEFAULT_SPECFUN) -> list[CheckResult]:
+    """The lemma suite, the operator suite, or both ("all"); the lemmas
+    run on op_cfg.sum_cfg, the summation config of the operators."""
     if which == "lemmas":
-        return lemma_suite(seed, sum_cfg, spec_cfg)
+        return lemma_suite(seed, op_cfg.sum_cfg, spec_cfg)
     if which == "operators":
         return operator_suite(seed, op_cfg, spec_cfg)
     if which == "all":
-        return lemma_suite(seed, sum_cfg, spec_cfg) + operator_suite(seed, op_cfg, spec_cfg)
+        return (lemma_suite(seed, op_cfg.sum_cfg, spec_cfg)
+                + operator_suite(seed, op_cfg, spec_cfg))
     raise ValueError(f"unknown suite {which!r}")

@@ -157,6 +157,31 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+def test_n0_flag_is_a_usage_error():
+    # the schedule's base index is the library's: no flag sets it
+    with pytest.raises(SystemExit) as exc:
+        main(["--n0", "128", "eval", "sigma", "--x", "0.5", "--s", "2"])
+    assert exc.value.code == 2
+
+
+def test_nan_tail_estimate_exits_3(capsys):
+    # far up the line the Hurwitz tail estimate is NaN: no value is reported
+    code, rec = run_json(capsys, "eval", "fracpow", "--x", "0.5",
+                         "--s", "200.44674247267193+18530676611667.473i")
+    assert code == 3
+    assert rec["diagnostics"][0]["error_class"] == "ConvergenceError"
+    assert rec["results"] == {}
+
+
+@pytest.mark.parametrize("x", ["1e300", "1e7"])
+def test_huge_x_is_a_domain_error(capsys, x):
+    # refused before any node of the exact shift is built
+    code, rec = run_json(capsys, "eval", "sigma", "--x", x, "--s=-0.9")
+    assert code == 2
+    assert rec["diagnostics"][0]["error_class"] == "DomainError"
+    assert "at most 1048576 terms" in rec["diagnostics"][0]["message"]
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_lemmas_passes(capsys):
@@ -372,17 +397,7 @@ def test_table_golden_failure_record(capsys):
     )
 
 
-# ----------------------------------------------------------- environment
-
-def test_env_variable_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("FRACSUM_ABS_TOL", "1e-16")
-    code, _ = run_cli(capsys, "eval", "sigma", "--x", "5.5", "--s", "0.3+0i")
-    assert code == 3
-    # explicit flag wins over the environment
-    code, rec = run_json(capsys, "--abs-tol", "1e-8",
-                         "eval", "sigma", "--x", "5.5", "--s", "0.3+0i")
-    assert code == 0
-
+# ---------------------------------------------------------- global flags
 
 def test_global_flags_accepted_after_subcommand(capsys):
     code, rec = run_json(capsys, "eval", "fracpow", "--x", "1", "--s", "2+0i",

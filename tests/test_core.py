@@ -38,7 +38,7 @@ from fracsum import (
     sin_2pi_fn,
     sum_log,
 )
-from fracsum.core import SCHEDULE_LEN, _wynn
+from fracsum.core import MAX_SHIFT_TERMS, SCHEDULE_LEN, _wynn
 from oracles import richardson_diff
 
 PROBE = (0.5, 1.0, 2.0)
@@ -73,6 +73,31 @@ def test_evalfn_domain_enforced():
     with pytest.raises(DomainError):
         f(np.array([1.0, -0.5]))
     assert complex(f(1.0)) == 0.0
+
+
+def test_evalfn_passes_eval_a_1d_array():
+    # eval and analytic_derivative see a 1-D float array whatever the
+    # argument; a scalar call returns the element of the array call
+    def ev(x):
+        assert isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == float
+        return np.exp(-(0.5 + 2j) * np.log(x))
+
+    def dv(x):
+        assert isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == float
+        return -(0.5 + 2j) * ev(x) / x
+
+    f = EvalFn(0.0, ev, dv, label="probe")
+    xs = np.array([0.25, 1.0, 3.5])
+    for call in (f, f.derivative):
+        values = call(xs)
+        assert values.shape == xs.shape
+        for x, v in zip(xs.tolist(), values):
+            assert np.array([call(x)]).tobytes() == np.array([v]).tobytes()
+        assert call(np.array([], dtype=float)).shape == (0,)
+    with pytest.raises(DomainError):
+        f(0.0)
+    with pytest.raises(DomainError):
+        f.derivative(np.array([1.0, -0.5]))
 
 
 def test_pointwise_fn_adapts_arrays():
@@ -226,6 +251,20 @@ def test_domain_checks():
             fractional_sum_limit(power_fn(2.0), x)
         with pytest.raises(DomainError):
             fractional_sum_limits(power_fn(2.0), [0.5, x], derivative=True)
+
+
+def test_exact_shift_is_capped():
+    # x whose exact shift would pass MAX_SHIFT_TERMS terms is refused
+    # before any node is built; a modest x still computes
+    assert MAX_SHIFT_TERMS == 2 ** 20
+    for x in (1e300, 1e7):
+        with pytest.raises(DomainError, match="at most 1048576 terms"):
+            fractional_sum_limit(power_fn(-0.9), x)
+        with pytest.raises(DomainError):
+            fractional_sum_limits(power_fn(2.0), [0.5, x], derivative=True)
+    res = fractional_sum_limit(power_fn(2.0), 1000.5)
+    assert res.converged
+    assert abs(res.value - frac_power(1000.5, 2.0)) < 1e-8
 
 
 def test_shift_recurrence_is_exact():

@@ -423,13 +423,15 @@ def test_kernel_flags_agree_with_scalar_gate():
     # for an array the estimate is sized with numpy's product, so this is
     # checked on a grid that crosses the target.  The last two points are
     # far up the line: the first has a NaN estimate and a finite value, the
-    # second misses, and the array gate still raises for the second
+    # second misses.  An estimate misses unless it is within the target, so
+    # the array gate raises at the NaN one, the first in order
     re, im = np.meshgrid(np.linspace(0.1, 3.0, 30), np.linspace(95.0, 150.0, 56))
     far = [200.44674247267193 + 18530676611667.473j,
            2.3522452121271984 + 18530676611667.473j]
     s = np.concatenate([(re + 1j * im).ravel(), far])
     value, each, _ = specfun._hurwitz_kernel(s, 1.0, specfun.DEFAULT_SPECFUN)
-    flagged = (each > specfun.TARGET_ABS_TOL) | ~np.isfinite(value)
+    assert math.isnan(each[-2]) and cmath.isfinite(value[-2])
+    flagged = ~(each <= specfun.TARGET_ABS_TOL) | ~np.isfinite(value)
     for si, vi, fi in zip(s, value, flagged):
         try:
             scalar = hurwitz_zeta_with_error(complex(si), 1.0)[0]
@@ -438,5 +440,16 @@ def test_kernel_flags_agree_with_scalar_gate():
         else:
             assert not fi and np.array([vi]).tobytes() == np.array([scalar]).tobytes()
     assert 0 < flagged.sum() < s.size
-    with pytest.raises(ConvergenceError, match=r"for s=\(2\.35"):
+    with pytest.raises(ConvergenceError, match=r"for s=\(200\.4"):
         hurwitz_zeta_with_error(np.array(far), 1.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow far up the line
+def test_nan_tail_estimate_is_a_miss():
+    # |(s)_{2M+1}| overflows while w^(-sigma-2M-1) underflows: the value is
+    # finite but its bound is unknown, so the gate refuses it
+    s = 200.44674247267193 + 18530676611667.473j
+    with pytest.raises(ConvergenceError, match="estimate nan misses target"):
+        hurwitz_zeta_with_error(s, 1.0)
+    with pytest.raises(ConvergenceError):
+        riemann_zeta(s)

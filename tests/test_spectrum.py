@@ -274,6 +274,15 @@ def test_scan_isolates_per_cell_failures():
     assert all(c.lam == eigenvalue_of(c.s) for c in cells)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow far up the line
+def test_scan_flags_nan_tail_estimate():
+    # the value there is finite but its tail estimate is NaN: the cell is
+    # flagged by the gate's rule, as riemann_zeta raises there
+    cells = scan_s_plane((200.44674247267193, 200.44674247267193),
+                         (18530676611667.473, 18530676611667.473), 1, 1)
+    assert [c.flag for c in cells] == ["error:ConvergenceError"]
+
+
 def test_scan_row_with_failing_and_good_cells():
     # at Im s = 120 the tail estimate misses the target for Re(s) < ~1 and
     # meets it for the rest; each cell is judged by its own estimate
