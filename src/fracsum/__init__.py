@@ -76,6 +76,7 @@ from .operators import (
     apply_p,
     apply_x_mult,
     continuum_dilation,
+    eigenvalue_of,
 )
 from .spectrum import (
     EIGEN_TOL,
@@ -88,7 +89,6 @@ from .spectrum import (
     ZetaZero,
     boundary_report,
     eigen_residual,
-    eigenvalue_of,
     find_critical_zeros,
     half_shift_norm,
     scan_s_plane,
@@ -110,10 +110,10 @@ __all__ = [
     "linear_combination", "log_fn", "pointwise_fn", "power_fn", "sin_2pi_fn",
     "sum_log",
     "DEFAULT_OPERATOR", "PROBE_GRID", "OperatorConfig", "apply_R", "apply_X",
-    "apply_p", "apply_x_mult", "continuum_dilation",
+    "apply_p", "apply_x_mult", "continuum_dilation", "eigenvalue_of",
     "EIGEN_TOL", "REALITY_TOL", "BoundaryReport", "EigenCandidate",
     "EigenReport", "HalfShiftNorm", "ScanCell", "ZetaZero", "boundary_report",
-    "eigen_residual", "eigenvalue_of", "find_critical_zeros",
+    "eigen_residual", "find_critical_zeros",
     "half_shift_norm", "scan_s_plane",
     "__version__",
 ]

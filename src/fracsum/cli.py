@@ -21,13 +21,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import lru_cache
 
-from .core import SummationConfig, frac_power, fractional_sum_limit, power_fn, sum_log
+from .core import SummationConfig, frac_power_with_error, fractional_sum_limit, power_fn, sum_log
 from .errors import ConvergenceError, DomainError, FracsumError
 from .operators import OperatorConfig
-from .specfun import TARGET_ABS_TOL, SpecFunConfig, hurwitz_zeta_with_error
+from .specfun import TARGET_ABS_TOL, SpecFunConfig
 from .spectrum import (
     eigen_residual,
     find_critical_zeros,
@@ -240,12 +240,7 @@ def _cmd_eval(args, cfgs, diagnostics):
     s = parse_complex(args.s)
     inputs["s"] = s
     if args.expr == "fracpow":
-        value = complex(frac_power(x, s, spec_cfg))
-        if abs(s - 1.0) < 1e-8:
-            err = TARGET_ABS_TOL
-        else:
-            err = (hurwitz_zeta_with_error(s, 1.0, spec_cfg)[1]
-                   + hurwitz_zeta_with_error(s, x + 1.0, spec_cfg)[1])
+        value, err = frac_power_with_error(x, s, spec_cfg)
         results = {"value": value, "err_estimate": err, "method": "closed_form"}
         return inputs, results, EXIT_OK
     # sigma: the raw limit, for direct comparison against fracpow; v^(-s) is
@@ -271,10 +266,7 @@ def _cmd_verify(args, cfgs, diagnostics):
     # reports the defect its limits reached, converged or not
     op_cfg = replace(op_cfg, sum_cfg=replace(op_cfg.sum_cfg, strict=False))
     checks = run_suite(args.suite, args.seed, op_cfg, spec_cfg)
-    rows = [{
-        "name": c.name, "passed": c.passed, "measure": c.measure,
-        "tolerance": c.tolerance, "detail": c.detail,
-    } for c in checks]
+    rows = [asdict(c) for c in checks]
     failed = [c.name for c in checks if not c.passed]
     for name in failed:
         diagnostics.append({"level": "error", "message": f"property failed: {name}"})

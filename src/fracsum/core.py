@@ -18,11 +18,12 @@ expressions
 
     S_n(x0) = x0 f(n) + sum_{v=1}^{n} (f(v) - f(v+x0))
 
-along a geometric index schedule, and extrapolates n -> inf with Wynn's
-epsilon algorithm.  The limit exists for asymptotically flat f
-(``flatness_probe`` classifies this) and reproduces the ordinary finite sum
-at integer x.  S_n is analytic in x, so the same loop also takes the
-derivative under the limit, lim_n [f(n) - sum_{v=1}^{n} f'(v+x0)].
+along the index schedule SCHEDULE (doubled on up to MAX_N while
+unconverged), and extrapolates n -> inf with Wynn's epsilon algorithm.  The
+limit exists for asymptotically flat f (``flatness_probe`` classifies this)
+and reproduces the ordinary finite sum at integer x.  S_n is analytic in x,
+so the same loop also takes the derivative under the limit,
+lim_n [f(n) - sum_{v=1}^{n} f'(v+x0)].
 
 ``fractional_sum_limits`` runs the limits of many x in lock-step, one per
 distinct x0 (0.5, 1.5 and 2.5 share one).  Each schedule step evaluates
@@ -47,10 +48,12 @@ import numpy as np
 from .errors import CancellationWarning, ConvergenceError, DomainError, OutOfRangeError
 from .specfun import (
     DEFAULT_SPECFUN,
+    TARGET_ABS_TOL,
     SpecFunConfig,
     digamma,
     euler_gamma,
     hurwitz_zeta,
+    hurwitz_zeta_with_error,
     log_gamma,
     riemann_zeta,
 )
@@ -202,38 +205,29 @@ def half_difference(f: EvalFn) -> EvalFn:
     return _difference(f, 0.5, "HalfDelta")
 
 
-#: number of points on the base index schedule
-SCHEDULE_LEN = 6
+#: the base index schedule, which every limit runs in full
+SCHEDULE = (64, 128, 256, 512, 1024, 2048)
+#: the last index an unconverged limit doubles up to
+MAX_N = 131072
 
 
 @dataclass(frozen=True)
 class SummationConfig:
     """Controls the limit engine.
 
-    The index schedule is geometric: n0, 2 n0, ..., n0 2^(SCHEDULE_LEN - 1),
-    extended by further doublings up to max_n while unconverged.  Wynn's
-    epsilon algorithm extrapolates the partial values after each step;
-    convergence means the last two extrapolants agree within abs_tol.
-    ``strict`` turns a failed convergence into a ConvergenceError instead
-    of a diagnostic.
+    The index schedule is SCHEDULE, extended by further doublings up to
+    MAX_N while unconverged.  Wynn's epsilon algorithm extrapolates the
+    partial values after each step; convergence means the last two
+    extrapolants agree within abs_tol.  ``strict`` turns a failed
+    convergence into a ConvergenceError instead of a diagnostic.
     """
 
-    n0: int = 64
     abs_tol: float = 1e-8
-    max_n: int = 131072
     strict: bool = False
 
     def __post_init__(self) -> None:
-        if self.n0 < 16:
-            raise OutOfRangeError(f"n0 must be >= 16, got {self.n0}")
         if not self.abs_tol > 0:
             raise OutOfRangeError("abs_tol must be positive")
-        if self.max_n < self.n0 * 2 ** (SCHEDULE_LEN - 1):
-            raise OutOfRangeError("max_n must cover the base schedule "
-                                  f"(>= {self.n0 * 2 ** (SCHEDULE_LEN - 1)})")
-
-    def schedule(self) -> list[int]:
-        return [self.n0 * 2 ** k for k in range(SCHEDULE_LEN)]
 
 
 DEFAULT_SUMMATION = SummationConfig()
@@ -269,7 +263,7 @@ def flatness_probe(f: EvalFn, x_samples: Iterable[float],
     """Classify whether f(n+x) - f(n) -> 0 along the index schedule.
 
     This is an explicit finite-sample heuristic, not a proof.  Per sample it
-    inspects d_n = |f(n+x) - f(n)| on the geometric schedule and calls the
+    inspects d_n = |f(n+x) - f(n)| on SCHEDULE and calls the
     sequence *flat* when, after the first element, it decays monotonically
     with a fitted positive exponent (so the extrapolated trend passes below
     abs_tol), *not_flat* when it stays bounded away from zero or grows, and
@@ -281,13 +275,13 @@ def flatness_probe(f: EvalFn, x_samples: Iterable[float],
         raise DomainError("flatness_probe needs at least one sample")
     if min(xs) <= 0.0:
         raise DomainError("flatness samples must be positive")
-    ns = cfg.schedule()
-    narr = np.asarray(ns, dtype=float)
+    narr = np.asarray(SCHEDULE, dtype=float)
+    at_n = f(narr)
     samples = []
     for x in xs:
-        d = np.abs(f(narr + x) - f(narr))
+        d = np.abs(f(narr + x) - at_n)
         if d.max() <= cfg.abs_tol:
-            samples.append(FlatnessSample(x, tuple(ns), tuple(float(v) for v in d),
+            samples.append(FlatnessSample(x, SCHEDULE, tuple(float(v) for v in d),
                                           math.inf, FLAT))
             continue
         tail = d[1:]
@@ -295,7 +289,7 @@ def flatness_probe(f: EvalFn, x_samples: Iterable[float],
             ratios = tail[1:] / tail[:-1]
         ratios = ratios[np.isfinite(ratios)]
         if ratios.size == 0:
-            samples.append(FlatnessSample(x, tuple(ns), tuple(d), math.nan, INCONCLUSIVE))
+            samples.append(FlatnessSample(x, SCHEDULE, tuple(d), math.nan, INCONCLUSIVE))
             continue
         alpha = float(-np.median(np.log2(ratios)))
         if np.all(ratios < 0.97) and alpha >= 0.05:
@@ -304,7 +298,7 @@ def flatness_probe(f: EvalFn, x_samples: Iterable[float],
             verdict = NOT_FLAT
         else:
             verdict = INCONCLUSIVE
-        samples.append(FlatnessSample(x, tuple(ns), tuple(float(v) for v in d), alpha, verdict))
+        samples.append(FlatnessSample(x, SCHEDULE, tuple(float(v) for v in d), alpha, verdict))
 
     if any(s.verdict == NOT_FLAT for s in samples):
         overall = NOT_FLAT
@@ -385,7 +379,7 @@ def fractional_sum_limits(f: EvalFn, xs: Sequence[float],
     live = {x0: ([], []) for x0 in x0s if derivative or x0 != 0.0}
     running = dict.fromkeys(live, 0j)
     done: dict[float, FracSumResult] = {}
-    prev_n, n = 0, cfg.n0
+    prev_n, n = 0, SCHEDULE[0]
     while live:
         v = np.arange(prev_n + 1.0, n + 0.5)
         sums = _row_sums(g, list(live), v, None if derivative else f(v))
@@ -396,7 +390,7 @@ def fractional_sum_limits(f: EvalFn, xs: Sequence[float],
             if len(p) >= 3:
                 e.append(_wynn(p))
             err = abs(e[-1] - e[-2]) if len(e) >= 2 else math.inf
-            if (len(p) >= SCHEDULE_LEN and err <= cfg.abs_tol) or 2 * n > cfg.max_n:
+            if (n >= SCHEDULE[-1] and err <= cfg.abs_tol) or 2 * n > MAX_N:
                 done[x0] = FracSumResult(e[-1], float(err), n, err <= cfg.abs_tol)
                 del live[x0]
         prev_n, n = n, 2 * n
@@ -448,8 +442,8 @@ def frac_power(x, s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     """The fractional generalized harmonic sum x^[-s] = sum_{v=1}^{x} v^(-s).
 
     Closed forms: zeta(s) - zeta(s, x+1) for s != 1, and gamma + Psi(x+1)
-    at s = 1 (taken when |s-1| < 1e-8).  Defined for x > -1, Re(s) > -1.
-    Accepts scalar or array x.
+    at s = 1 (taken when |s-1| < _S_ONE_EXACT).  Defined for x > -1,
+    Re(s) > -1.  Accepts scalar or array x.
     """
     s = _finite_s(s, "frac_power")
     if s.real <= -1.0:
@@ -470,6 +464,17 @@ def frac_power(x, s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN):
             )
         out = riemann_zeta(s, cfg) - hurwitz_zeta(s, work + 1.0, cfg)
     return complex(out[0]) if scalar else out
+
+
+def frac_power_with_error(x, s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN):
+    """``(frac_power(x, s), bound)``: the bound is TARGET_ABS_TOL on the
+    digamma branch, else the sum of the two Hurwitz bounds."""
+    value = frac_power(x, s, cfg)
+    s = complex(s)
+    if abs(s - 1.0) < _S_ONE_EXACT:
+        return value, TARGET_ABS_TOL
+    return value, (hurwitz_zeta_with_error(s, 1.0, cfg)[1]
+                   + hurwitz_zeta_with_error(s, np.asarray(x, dtype=float) + 1.0, cfg)[1])
 
 
 def frac_power_derivative(x, s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN):

@@ -155,28 +155,31 @@ def apply_R(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
     return linear_combination([(1.0, term_xp), (1.0, term_px)], label=f"R[{f.label}]")
 
 
-def continuum_dilation(s: complex, verify: bool = True,
-                       grid: tuple[float, ...] = (0.5, 1.0, 2.0, 5.0),
-                       cfg: OperatorConfig = DEFAULT_OPERATOR) -> complex:
-    """Eigenvalue i(2s - 1) of x p + p x acting on x^(-s).
+def eigenvalue_of(s: complex) -> complex:
+    """The would-be eigenvalue i(2s - 1) of R at x^[-s]; purely algebraic."""
+    return 1j * (2.0 * complex(s) - 1.0)
 
-    The value itself is algebraic.  With verify=True a companion numeric
-    check applies x(-i d/dx) + (-i d/dx) x to x^(-s) through the finite
-    difference machinery on the grid and asserts the ratio against the
+
+def continuum_dilation(s: complex, cfg: OperatorConfig = DEFAULT_OPERATOR) -> complex:
+    """Eigenvalue ``eigenvalue_of(s)`` of x p + p x acting on x^(-s), checked.
+
+    The value itself is algebraic.  A companion numeric check applies
+    x(-i d/dx) + (-i d/dx) x to x^(-s) through the finite-difference
+    machinery on the grid (0.5, 1, 2, 5) and asserts the ratio against the
     formula (tolerance 1e-6).
     """
     s = complex(s)
-    lam = 1j * (2.0 * s - 1.0)
-    if verify:
-        # no analytic derivative attached: the check must run through the
-        # numeric p path, otherwise it would just restate the formula
-        w = EvalFn(0.0, lambda x: np.exp(-s * np.log(x)), label=f"x^(-({s}))")
-        applied = linear_combination(
-            [(1.0, apply_x_mult(apply_p(w, cfg))), (1.0, apply_p(apply_x_mult(w), cfg))]
-        )
-        ratios = applied(grid) / w(grid)
-        off = np.flatnonzero(np.abs(ratios - lam) > 1e-6 * max(1.0, abs(lam)))
-        if off.size:
-            raise ConvergenceError(f"dilation check failed at x={grid[off[0]]}: "
-                                   f"ratio {complex(ratios[off[0]])} vs {lam}")
+    lam = eigenvalue_of(s)
+    grid = (0.5, 1.0, 2.0, 5.0)
+    # no analytic derivative attached: the check must run through the
+    # numeric p path, otherwise it would just restate the formula
+    w = EvalFn(0.0, lambda x: np.exp(-s * np.log(x)), label=f"x^(-({s}))")
+    applied = linear_combination(
+        [(1.0, apply_x_mult(apply_p(w, cfg))), (1.0, apply_p(apply_x_mult(w), cfg))]
+    )
+    ratios = applied(grid) / w(grid)
+    off = np.flatnonzero(np.abs(ratios - lam) > 1e-6 * max(1.0, abs(lam)))
+    if off.size:
+        raise ConvergenceError(f"dilation check failed at x={grid[off[0]]}: "
+                               f"ratio {complex(ratios[off[0]])} vs {lam}")
     return lam

@@ -339,16 +339,16 @@ def riemann_zeta(s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN) -> complex:
     return _riemann_zeta_cached(s, cfg)
 
 
-def _shifted(z, floor: float, name: str):
-    """Upward recurrence helper: returns (z + m, z-array, m) with Re >= floor."""
-    arr = np.asarray(z, dtype=complex)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    on_pole = (arr.imag == 0.0) & (arr.real <= 0.0) & (arr.real == np.round(arr.real))
-    if np.any(on_pole):
-        raise PoleError(f"{name} has poles at non-positive integers")
-    shift = max(0, int(math.ceil(floor - arr.real.min())))
-    return arr, shift, scalar
+def _upward(arr: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
+    """The upward recurrence to Re >= 10: returns (arr + m, -(step(arr) + ...
+    + step(arr + m - 1))) for the least such m >= 0."""
+    shift = max(0, int(math.ceil(10.0 - arr.real.min(initial=10.0))))
+    acc = np.zeros_like(arr)
+    work = arr.copy()
+    for _ in range(shift):
+        acc -= step(work)
+        work += 1.0
+    return work, acc
 
 
 def digamma(z):
@@ -357,12 +357,13 @@ def digamma(z):
     Shifts upward with Psi(z) = Psi(z+1) - 1/z until Re >= 10, then applies
     the Bernoulli asymptotic series.  Absolute error <= 1e-12 for Re(z) > 0.
     """
-    arr, shift, scalar = _shifted(z, 10.0, "digamma")
-    acc = np.zeros_like(arr)
-    work = arr.copy()
-    for _ in range(shift):
-        acc -= 1.0 / work
-        work += 1.0
+    arr = np.asarray(z, dtype=complex)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    on_pole = (arr.imag == 0.0) & (arr.real <= 0.0) & (arr.real == np.round(arr.real))
+    if np.any(on_pole):
+        raise PoleError("digamma has poles at non-positive integers")
+    work, acc = _upward(arr, lambda w: 1.0 / w)
     out = np.log(work) - 0.5 / work
     w2 = work * work
     wpow = w2.copy()
@@ -386,12 +387,7 @@ def log_gamma(z):
     arr = np.atleast_1d(arr)
     if np.any(arr.real <= 0.0):
         raise DomainError("log_gamma requires Re(z) > 0")
-    shift = max(0, int(math.ceil(10.0 - arr.real.min(initial=10.0))))
-    acc = np.zeros_like(arr)
-    work = arr.copy()
-    for _ in range(shift):
-        acc -= np.log(work)
-        work += 1.0
+    work, acc = _upward(arr, np.log)
     lw = np.log(work)
     out = (work - 0.5) * lw - work + 0.5 * math.log(_TWO_PI)
     w2 = work * work

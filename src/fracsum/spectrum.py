@@ -29,7 +29,7 @@ from .core import (
     linear_combination,
 )
 from .errors import DomainError, PoleError
-from .operators import DEFAULT_OPERATOR, OperatorConfig, apply_R
+from .operators import DEFAULT_OPERATOR, OperatorConfig, apply_R, eigenvalue_of
 from .specfun import (
     DEFAULT_SPECFUN,
     SpecFunConfig,
@@ -47,11 +47,6 @@ EIGEN_TOL = 1e-6
 _POLE_RADIUS = 1e-3
 _BISECT_WIDTH = 1e-9
 _GRID_STEP = 0.05
-
-
-def eigenvalue_of(s: complex) -> complex:
-    """The would-be eigenvalue i(2s - 1); purely algebraic."""
-    return 1j * (2.0 * complex(s) - 1.0)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from fracsum import cli
+from fracsum import cli, core
+from fracsum.specfun import TARGET_ABS_TOL, hurwitz_zeta_with_error
 from fracsum.cli import main, parse_complex, read_records_csv
 
 
@@ -76,6 +77,24 @@ def test_eval_sumlog(capsys):
     code, rec = run_json(capsys, "eval", "sumlog", "--x", "0.5")
     assert code == 0
     assert abs(rec["results"]["value"]["re"] - (-0.1207822376352452)) < 1e-10
+
+
+@pytest.mark.filterwarnings("ignore::fracsum.CancellationWarning")
+@pytest.mark.parametrize("s,on_digamma", [
+    ("1", True), ("1.000000005", True), ("1.00000002", False), ("2+3i", False),
+])
+def test_eval_fracpow_err_estimate_by_branch(capsys, s, on_digamma):
+    # |s - 1| below core._S_ONE_EXACT (1e-8) takes the digamma branch and
+    # its target; above it the bound is zeta(s)'s plus zeta(s, x + 1)'s
+    z = parse_complex(s)
+    assert on_digamma == (abs(z - 1.0) < core._S_ONE_EXACT)
+    code, rec = run_json(capsys, "eval", "fracpow", "--x", "0.5", "--s", s)
+    assert code == 0
+    if on_digamma:
+        want = TARGET_ABS_TOL
+    else:
+        want = hurwitz_zeta_with_error(z, 1.0)[1] + hurwitz_zeta_with_error(z, 1.5)[1]
+    assert rec["results"]["err_estimate"] == want
 
 
 def test_eval_sigma_agrees_with_fracpow(capsys):

@@ -38,7 +38,8 @@ from fracsum import (
     sin_2pi_fn,
     sum_log,
 )
-from fracsum.core import MAX_SHIFT_TERMS, SCHEDULE_LEN, _wynn
+from fracsum import core
+from fracsum.core import MAX_N, MAX_SHIFT_TERMS, SCHEDULE, _wynn
 from oracles import richardson_diff
 
 PROBE = (0.5, 1.0, 2.0)
@@ -138,9 +139,7 @@ def test_forward_difference_log_gamma_gives_log():
 
 
 def test_half_difference_of_linear():
-    f = linear_combination([(1.0, const_fn(0.0))])  # placeholder to build x below
-    x_fn = EvalFn(-1.0, lambda x: np.asarray(x, dtype=float) + 0j,
-                  lambda x: np.ones_like(np.atleast_1d(np.asarray(x))) + 0j, "x")
+    x_fn = EvalFn(-1.0, lambda x: x + 0j, lambda x: np.ones_like(x) + 0j, "x")
     d = half_difference(x_fn)
     assert d.domain_lo == -0.5
     assert abs(complex(d(2.0)) - 0.5) < 1e-15
@@ -164,6 +163,14 @@ def test_flatness_examples():
     # decay exponent should approximate Re(s) + 1 = 1.5
     for sample in report.samples:
         assert abs(sample.decay_exponent - 1.5) < 0.2
+
+
+def test_flatness_probe_evaluates_schedule_once():
+    # f(n) does not depend on the sample: k samples take k + 1 calls of f
+    calls = []
+    counted = EvalFn(0.0, lambda x: calls.append(x.size) or np.log(x), label="log")
+    assert flatness_probe(counted, (0.5, 1.0, 2.5)).verdict == FLAT
+    assert len(calls) == 4
 
 
 def test_flatness_rejects_bad_samples():
@@ -216,26 +223,12 @@ def test_oracle_equivalence_random_cases():
         assert err < max(1e-6, 10.0 * res.err_estimate)
 
 
-def test_error_estimate_decreases_with_larger_base():
-    # pure schedule comparison: no early stop, no extension
-    rng = random.Random(9)
-    for _ in range(5):
-        x = rng.uniform(0.2, 6.0)
-        s = complex(rng.uniform(0.3, 1.5), rng.uniform(-4.0, 4.0))
-        if float(x).is_integer():
-            continue
-        small = SummationConfig(n0=64, abs_tol=1e-14, max_n=64 * 32)
-        large = SummationConfig(n0=128, abs_tol=1e-14, max_n=128 * 32)
-        e1 = fractional_sum_limit(power_fn(s), x, small).err_estimate
-        e2 = fractional_sum_limit(power_fn(s), x, large).err_estimate
-        assert e2 < e1
-
-
-def test_strict_mode_raises_on_divergence():
+def test_strict_mode_raises_on_divergence(monkeypatch):
     # v^(1/2) is flat and summable (frac_power(0.5, -0.5) = 0.4383320906)
-    # and its limit converges at n = 8192 by default; max_n=2048 stops the
+    # and its limit converges at n = 8192 by default; MAX_N = 2048 stops the
     # schedule before the extrapolants agree within abs_tol
-    cfg = SummationConfig(strict=True, max_n=2048)
+    monkeypatch.setattr(core, "MAX_N", 2048)
+    cfg = SummationConfig(strict=True)
     with pytest.raises(ConvergenceError):
         fractional_sum_limit(power_fn(-0.5), 0.5, cfg)
 
@@ -293,7 +286,7 @@ def reference_limit(f, x, cfg, derivative):
     shift = complex(np.sum(g(nodes))) if nodes.size else 0j
     if x0 == 0.0 and not derivative:
         return shift, 0.0, nodes.size, True
-    partials, estimates, err, running, prev_n, n = [], [], math.inf, 0j, 0, cfg.n0
+    partials, estimates, err, running, prev_n, n = [], [], math.inf, 0j, 0, SCHEDULE[0]
     while True:
         v = np.arange(prev_n + 1.0, n + 0.5)
         if derivative:
@@ -307,7 +300,7 @@ def reference_limit(f, x, cfg, derivative):
             if len(estimates) >= 2:
                 err = abs(estimates[-1] - estimates[-2])
         prev_n = n
-        if (len(partials) >= SCHEDULE_LEN and err <= cfg.abs_tol) or 2 * n > cfg.max_n:
+        if (n >= SCHEDULE[-1] and err <= cfg.abs_tol) or 2 * n > MAX_N:
             break
         n *= 2
     return estimates[-1] + shift, float(err), prev_n, err <= cfg.abs_tol
@@ -339,7 +332,7 @@ def test_batch_limits_bitwise_equal_per_point_reference(case, derivative):
             as_bytes(*want), x
     if case == "unconverged_long_rows" and not derivative:
         assert not any(r.converged for r in batch)
-        assert {r.n_used for r in batch} == {cfg.max_n}
+        assert {r.n_used for r in batch} == {MAX_N}
 
 
 def test_batch_strict_raises_first_failing_point_in_order():
@@ -471,7 +464,6 @@ def test_sum_log_values():
 
 def test_summation_config_validation():
     with pytest.raises(Exception):
-        SummationConfig(n0=8)
-    with pytest.raises(Exception):
-        SummationConfig(max_n=100)
-    assert SummationConfig().schedule() == [64, 128, 256, 512, 1024, 2048]
+        SummationConfig(abs_tol=0.0)
+    assert SCHEDULE == (64, 128, 256, 512, 1024, 2048)
+    assert MAX_N == 131072

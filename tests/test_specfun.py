@@ -17,6 +17,8 @@ from fracsum import (
     bernoulli_number,
     digamma,
     euler_gamma,
+    frac_power,
+    frac_power_fn,
     hardy_z,
     hurwitz_zeta,
     hurwitz_zeta_with_error,
@@ -354,6 +356,11 @@ def test_hardy_z_domain():
 def test_hardy_z_of_empty_array_is_empty():
     assert hardy_z(np.array([])).shape == (0,)
     assert riemann_siegel_theta(np.array([])).shape == (0,)
+    # the shared upward recurrence, and frac_power's digamma branch at s = 1
+    assert digamma(np.array([])).shape == (0,)
+    assert log_gamma(np.array([])).shape == (0,)
+    assert frac_power(np.array([]), 1.0).shape == (0,)
+    assert frac_power_fn(1.0)(np.array([])).shape == (0,)
 
 
 def test_hardy_z_batch_matches_scalar():
