@@ -32,7 +32,7 @@ from .spectrum import (
     eigen_residual,
     find_critical_zeros,
     half_shift_norm,
-    scan_s_plane,
+    scan_columns,
 )
 from .verify import run_suite
 
@@ -83,14 +83,70 @@ def _flat_encoder(inner: str):
     return json.JSONEncoder(separators=(",\n" + inner, ": ")).encode
 
 
+class _Rows:
+    """A list of flat dicts held as columns: the str keys, and one list of
+    plain leaf values per key.  Iterating gives the row dicts."""
+
+    def __init__(self, keys, columns) -> None:
+        self.keys, self.columns = tuple(keys), list(columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return (dict(zip(self.keys, row)) for row in zip(*self.columns))
+
+
+_ROWS_BLOCK = 512
+
+
+def _column_text(col):
+    """A function from a slice of col to its values' json texts."""
+    kinds = set(map(type, col))
+    if kinds <= {str, bool, type(None)}:
+        # equal values of these types have equal texts: encode each once
+        code = {v: _encode_leaf(v) for v in set(col)}
+        return lambda part: map(code.__getitem__, part)
+    if str in kinds:
+        return lambda part: map(_encode_leaf, part)
+    # one encoder call; no other leaf's text holds json's item separator
+    return lambda part: _encode_leaf(part)[1:-1].split(", ")
+
+
+def _rows_parts(rows: _Rows, out: list, pad: str) -> None:
+    """Append the text of json.dumps(list(rows), indent=2), one piece per row.
+
+    The rows are encoded a block of _ROWS_BLOCK rows at a time, column by
+    column, and each row is then one % template.
+    """
+    if not len(rows):
+        out.append("[]")
+        return
+    inner, item = pad + "  ", pad + "    "
+    template = (",\n" + inner + "{\n" + item + (",\n" + item).join(
+        _encode_leaf(k).replace("%", "%%") + ": %s" for k in rows.keys)
+        + "\n" + inner + "}")
+    texts = [_column_text(col) for col in rows.columns]
+    head = len(out)
+    for lo in range(0, len(rows), _ROWS_BLOCK):
+        block = [text(col[lo:lo + _ROWS_BLOCK]) for text, col in zip(texts, rows.columns)]
+        out.extend(map(template.__mod__, zip(*block)))
+    out[head] = "[" + out[head][1:]
+    out.append("\n" + pad + "]")
+
+
 def _json_parts(value, out: list, pad: str = "") -> None:
     """Append the text of json.dumps(value, indent=2) to out, in pieces.
 
-    A complex is written as {"re", "im"}.  A dict whose values are all
-    plain leaves is one call of json's C encoder; other leaves are json's
-    own scalars, so anything json cannot encode raises its TypeError.
+    A complex is written as {"re", "im"}, and _Rows as its list of row
+    dicts.  A dict whose values are all plain leaves is one call of json's
+    C encoder; other leaves are json's own scalars, so anything json
+    cannot encode raises its TypeError.
     """
     inner = pad + "  "
+    if isinstance(value, _Rows):
+        _rows_parts(value, out, pad)
+        return
     if isinstance(value, complex):
         value = {"re": value.real, "im": value.imag}
     if isinstance(value, dict) and value:
@@ -308,24 +364,23 @@ def _cmd_zeros(args, cfgs, diagnostics):
 
 def _cmd_scan(args, cfgs, diagnostics):
     _, spec_cfg = cfgs
-    cells = scan_s_plane((args.re0, args.re1), (args.im0, args.im1),
-                         args.n_re, args.n_im, spec_cfg)
-    rows = [{
-        "s_re": c.s.real, "s_im": c.s.imag, "abs_zeta": c.abs_zeta,
-        "analytic_residual": c.analytic_residual,
-        "lambda_re": c.lam.real, "lambda_im": c.lam.imag,
-        "lambda_is_real": c.lambda_is_real, "flags": c.flag,
-    } for c in cells]
-    n_error = sum(1 for c in cells if c.flag.startswith("error"))
+    cols = scan_columns((args.re0, args.re1), (args.im0, args.im1),
+                        args.n_re, args.n_im, spec_cfg)
+    s, lam, flag = cols["s"], cols["lam"], cols["flag"]
+    rows = _Rows(SCAN_CSV_COLUMNS, [
+        s.real.tolist(), s.imag.tolist(), cols["abs_zeta"].tolist(),
+        cols["analytic_residual"].tolist(), lam.real.tolist(), lam.imag.tolist(),
+        cols["lambda_is_real"].tolist(), flag.tolist()])
+    n_cells, n_error = len(rows), int((flag == "error:ConvergenceError").sum())
     inputs = {"re0": args.re0, "re1": args.re1, "im0": args.im0, "im1": args.im1,
               "n_re": args.n_re, "n_im": args.n_im}
-    results = {"n_cells": len(cells), "n_error": n_error, "cells": rows}
+    results = {"n_cells": n_cells, "n_error": n_error, "cells": rows}
     if args.csv:
         _write_csv(args.csv, SCAN_CSV_COLUMNS, rows)
         results["csv"] = args.csv
-    if n_error > 0.1 * len(cells):
+    if n_error > 0.1 * n_cells:
         diagnostics.append({"level": "error",
-                            "message": f"{n_error}/{len(cells)} cells failed"})
+                            "message": f"{n_error}/{n_cells} cells failed"})
         return inputs, results, EXIT_CONVERGENCE
     return inputs, results, EXIT_OK
 
@@ -387,6 +442,8 @@ def _render(val) -> str:
 
 def _render_results(results: dict, indent: str) -> None:
     for key, val in results.items():
+        if isinstance(val, _Rows):
+            val = list(val)
         if isinstance(val, list) and val and isinstance(val[0], dict):
             print(f"{indent}{key}:")
             cols = list(val[0].keys())

@@ -29,6 +29,7 @@ from .core import (
     linear_combination,
 )
 from .errors import ConvergenceError, DomainError, OutOfRangeError
+from .specfun import _cmul
 
 #: positive abscissas used for the lazy flatness check inside apply_X
 PROBE_GRID = (0.5, 1.0, 2.5)
@@ -155,8 +156,19 @@ def apply_R(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
     return linear_combination([(1.0, term_xp), (1.0, term_px)], label=f"R[{f.label}]")
 
 
-def eigenvalue_of(s: complex) -> complex:
-    """The would-be eigenvalue i(2s - 1) of R at x^[-s]; purely algebraic."""
+def eigenvalue_of(s: complex | np.ndarray) -> complex | np.ndarray:
+    """The would-be eigenvalue i(2s - 1) of R at x^[-s]; purely algebraic.
+
+    An array of s gives an array with each point's scalar bits, signed
+    zeros included: the arithmetic is spelled out as CPython does
+    ``1j * (2.0 * s - 1.0)``, widening each float to a complex with a
+    zero imaginary part.
+    """
+    if isinstance(s, np.ndarray):
+        w = np.empty(s.shape, dtype=complex)
+        w.real = (2.0 * s.real - 0.0 * s.imag) - 1.0
+        w.imag = 2.0 * s.imag + 0.0 * s.real
+        return _cmul(1j, w)
     return 1j * (2.0 * complex(s) - 1.0)
 
 

@@ -16,7 +16,7 @@ the tentative half-shift inner product <f, g> = int conj(D_half f) D_half g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -33,6 +33,7 @@ from .operators import DEFAULT_OPERATOR, OperatorConfig, apply_R, eigenvalue_of
 from .specfun import (
     DEFAULT_SPECFUN,
     SpecFunConfig,
+    _cmul,
     _hurwitz_kernel,
     _tail_misses,
     hardy_z,
@@ -243,21 +244,24 @@ class ScanCell:
     flag: str
 
 
-def scan_s_plane(re_range: tuple[float, float], im_range: tuple[float, float],
+def scan_columns(re_range: tuple[float, float], im_range: tuple[float, float],
                  n_re: int, n_im: int,
-                 cfg: SpecFunConfig = DEFAULT_SPECFUN) -> list[ScanCell]:
+                 cfg: SpecFunConfig = DEFAULT_SPECFUN) -> dict[str, np.ndarray]:
     """Sweep the strip: |zeta|, analytic residual, and lambda per grid cell.
 
-    The grid must sit in Re(s) > 0 (outside that the candidates leave the
-    operator domain and the sweep is meaningless).  Cells within 1e-3 of
-    s = 1 are emitted with flag "pole".  All other cells are one call of
-    the Hurwitz kernel, zeta(s) = zeta(s, 1), which reports each point's
-    tail estimate instead of failing the call; a cell whose estimate
-    misses TARGET_ABS_TOL (a NaN estimate misses), or whose value is not
-    finite, is flagged "error:ConvergenceError" with NaN fields, exactly
-    when riemann_zeta alone raises there, and the scan carries on.  There
-    is no fallback path.  Ordering is im-major (im outer, re inner) and
-    deterministic.
+    Returns one flat array per ScanCell field, keyed by the field's name,
+    over the cells in im-major order (im outer, re inner).  The grid must
+    sit in Re(s) > 0 (outside that the candidates leave the operator
+    domain and the sweep is meaningless).  Cells within 1e-3 of s = 1 get
+    flag "pole".  All other cells are one call of the Hurwitz kernel,
+    zeta(s) = zeta(s, 1), which reports each point's tail estimate instead
+    of failing the call; a cell whose estimate misses TARGET_ABS_TOL (a
+    NaN estimate misses), or whose value is not finite, is flagged
+    "error:ConvergenceError", exactly when riemann_zeta alone raises
+    there.  Pole and failed cells have NaN |zeta| and residual.  There is
+    no fallback path.  Every cell keeps the bits of the scalar formulas
+    abs(riemann_zeta(s)), abs((s - 1.0) * zeta(s)) and eigenvalue_of(s):
+    magnitudes are hypot, as abs of a Python complex is.
     """
     re0, re1 = float(re_range[0]), float(re_range[1])
     im0, im1 = float(im_range[0]), float(im_range[1])
@@ -269,28 +273,36 @@ def scan_s_plane(re_range: tuple[float, float], im_range: tuple[float, float],
         raise DomainError("ranges must be ordered")
     if n_re < 1 or n_im < 1:
         raise DomainError("need at least one grid point per axis")
-    res = np.linspace(re0, re1, n_re)
-    ims = np.linspace(im0, im1, n_im)
-
-    grid = [complex(r, i) for i in ims for r in res]
-    off_pole = [s for s in grid if abs(s - 1.0) >= _POLE_RADIUS]
+    s = np.empty(n_re * n_im, dtype=complex)
+    s.real = np.tile(np.linspace(re0, re1, n_re), n_im)
+    s.imag = np.repeat(np.linspace(im0, im1, n_im), n_re)
+    # s - 1.0 as a Python complex: 1.0 widens to 1+0j, and x - 0.0 is x
+    shifted = s - 1.0
+    off = np.flatnonzero(np.hypot(shifted.real, shifted.imag) >= _POLE_RADIUS)
     # Re(s) > 0 off the pole leaves the kernel no error of the whole call
     # (those are the pole, Re(s) <= -48 and sigma + 2M + 1 <= 0)
-    zs, each, _ = _hurwitz_kernel(np.array(off_pole), 1.0, cfg)
-    failed = _tail_misses(each) | ~np.isfinite(zs)
-    zeta = iter(zip(zs.tolist(), failed.tolist()))
+    zeta, each, _ = _hurwitz_kernel(s[off], 1.0, cfg)
+    good = ~_tail_misses(each) & np.isfinite(zeta)
+    ok, zeta = off[good], zeta[good]
+    prod = _cmul(shifted[ok], zeta)
+    abs_zeta = np.full(s.size, math.nan)
+    abs_zeta[ok] = np.hypot(zeta.real, zeta.imag)
+    residual = np.full(s.size, math.nan)
+    residual[ok] = np.hypot(prod.real, prod.imag)
+    lam = eigenvalue_of(s)
+    flag = np.full(s.size, "pole", dtype=object)
+    flag[off] = "error:ConvergenceError"
+    flag[ok] = "ok"
+    return {"s": s, "abs_zeta": abs_zeta, "analytic_residual": residual, "lam": lam,
+            "lambda_is_real": np.abs(lam.imag) < REALITY_TOL, "flag": flag}
 
-    def cell(s: complex) -> ScanCell:
-        lam = eigenvalue_of(s)
-        real = abs(lam.imag) < REALITY_TOL
-        if abs(s - 1.0) < _POLE_RADIUS:
-            return ScanCell(s, math.nan, math.nan, lam, real, "pole")
-        z, fail = next(zeta)  # the off-pole cells come in grid order
-        if fail:
-            return ScanCell(s, math.nan, math.nan, lam, real, "error:ConvergenceError")
-        return ScanCell(s, abs(z), abs((s - 1.0) * z), lam, real, "ok")
 
-    return [cell(s) for s in grid]
+def scan_s_plane(re_range: tuple[float, float], im_range: tuple[float, float],
+                 n_re: int, n_im: int,
+                 cfg: SpecFunConfig = DEFAULT_SPECFUN) -> list[ScanCell]:
+    """The cells of ``scan_columns``, one ScanCell each, in its order."""
+    cols = scan_columns(re_range, im_range, n_re, n_im, cfg)
+    return [ScanCell(*cell) for cell in zip(*(cols[f.name].tolist() for f in fields(ScanCell)))]
 
 
 @dataclass(frozen=True)

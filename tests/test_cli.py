@@ -495,15 +495,58 @@ def test_json_writer_rejects_what_json_rejects(value):
             to_json(wrapped)
 
 
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025])
+def test_json_writer_on_rows(n):
+    # a key with %, a string column with ", " and quotes, columns mixing
+    # types whose values compare equal with other texts (-0.0 == 0 ==
+    # False), and blocks that end on and off the row count
+    keys = ("x", "100% \"k\"", "flag", "mixed", "ok", "num")
+    mixed = [1.5, "a, b", None, math.nan, -0.0, 0.0, 0, False, 1, True]
+    columns = [[i / 7 for i in range(n)], [-0.0 * i for i in range(n)],
+               [("ok", 'say "hi", x', None)[i % 3] for i in range(n)],
+               [mixed[i % 10] for i in range(n)], [i % 3 == 0 for i in range(n)],
+               [(-0.0, 0, None, True, 2.5)[i % 5] for i in range(n)]]
+    rows = cli._Rows(keys, columns)
+    assert len(rows) == n
+    table = [dict(zip(keys, row)) for row in zip(*columns)]
+    assert list(rows) == table
+    assert to_json(rows) == json.dumps(table, indent=2)
+    assert to_json({"cells": rows}) == json.dumps({"cells": table}, indent=2)
+
+
 def test_json_writer_on_scan_record(capsys):
     # the pole cell gives NaN, the others a mix of floats, strings and
-    # booleans; 2501 cells make more pieces than one written chunk
-    code, out = run_cli(capsys, "--format", "json",
-                        "scan", "0.9", "1.1", "-0.5", "0.5", "41", "61")
+    # booleans; 2501 cells make more pieces than one written chunk, and
+    # more rows than one block without filling the last; the failing grid
+    # has NaN fields in error cells; one cell is a block of one row
+    for argv, n_cells, flag, count in [
+        (("0.9", "1.1", "-0.5", "0.5", "41", "61"), 2501, "pole", 1),
+        (("0.1", "3.0", "10", "120", "30", "12"), 360, "error:ConvergenceError", 12),
+        (("0.2", "0.4", "1", "1", "1", "1"), 1, "ok", 1),
+    ]:
+        code, out = run_cli(capsys, "--format", "json", "scan", *argv)
+        assert code == 0
+        record = json.loads(out)
+        cells = record["results"]["cells"]
+        assert len(cells) == n_cells
+        assert [c["flags"] for c in cells].count(flag) == count
+        assert out == json.dumps(record, indent=2) + "\n"
+    assert 2501 > cli._ROWS_BLOCK and 2501 % cli._ROWS_BLOCK
+
+
+def test_scan_csv_reads_back_as_json_cells(capsys, tmp_path):
+    # CSV writes booleans as 0/1 and floats by repr, NaN included
+    csv = tmp_path / "scan.csv"
+    code, rec = run_json(capsys, "scan", "0.1", "3.0", "10", "120", "30", "12",
+                         "--csv", str(csv))
     assert code == 0
-    record = json.loads(out)
-    assert [c["flags"] for c in record["results"]["cells"]].count("pole") == 1
-    assert out == json.dumps(record, indent=2) + "\n"
+    rows = read_records_csv(str(csv))
+    cells = rec["results"]["cells"]
+    assert len(rows) == len(cells) == 360
+    for row, cell in zip(rows, cells):
+        assert list(row) == list(cell)
+        assert row["flags"] == cell.pop("flags")
+        assert all(repr(row[k]) == repr(float(v)) for k, v in cell.items())
 
 
 # -------------------------------------------------------------- process

@@ -1,6 +1,5 @@
 import math
 import random
-import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from fracsum import (
     SummationConfig,
     apply_x_mult,
     const_fn,
-    euler_gamma,
     flatness_probe,
     forward_difference,
     frac_power,

@@ -24,7 +24,6 @@ from fracsum import (
     riemann_zeta,
     sin_2pi_fn,
 )
-from oracles import richardson_diff
 
 CFG = OperatorConfig()
 SMALL_GRID = (-0.9, -0.5, 0.25, 1.0, 2.5)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fracsum import (
+    ConvergenceError,
     DomainError,
     EigenCandidate,
     PoleError,
@@ -13,7 +14,6 @@ from fracsum import (
     eigen_residual,
     eigenvalue_of,
     find_critical_zeros,
-    frac_power,
     half_shift_norm,
     hardy_z,
     riemann_zeta,
@@ -309,6 +309,37 @@ def test_scan_is_one_kernel_call(monkeypatch, im_range, n_error):
     assert calls == [41 * 201]
     assert sum(c.flag == "error:ConvergenceError" for c in cells) == n_error
     assert sum(c.flag == "ok" for c in cells) == 41 * 201 - n_error
+
+
+@pytest.mark.parametrize("grid, flags", [
+    (((0.2, 0.8), (-0.0, -0.0), 3, 2), {"ok"}),
+    (((0.9, 1.1), (-0.5, 0.5), 41, 61), {"ok", "pole"}),
+    (((0.1, 3.0), (10.0, 120.0), 30, 12), {"ok", "error:ConvergenceError"}),
+], ids=["signed-zero", "pole", "failing"])
+def test_scan_cells_keep_scalar_bits(grid, flags):
+    # the scan computes its fields over arrays; each must have the bits of
+    # the per-cell formula, and repr tells signed zeros and NaNs apart
+    # (linspace ends the first grid's second row on Im s = -0.0)
+    (re0, re1), (im0, im1), n_re, n_im = grid
+    points = [complex(r, i) for i in np.linspace(im0, im1, n_im)
+              for r in np.linspace(re0, re1, n_re)]
+    cells = scan_s_plane(*grid)
+    assert [repr(c.s) for c in cells] == [repr(s) for s in points]
+    for c in cells:
+        s = c.s
+        if abs(s - 1.0) < 1e-3:
+            want = (math.nan, math.nan, "pole")
+        else:
+            try:
+                z = riemann_zeta(s)
+            except ConvergenceError:
+                want = (math.nan, math.nan, "error:ConvergenceError")
+            else:
+                want = (abs(z), abs((s - 1.0) * z), "ok")
+        lam = eigenvalue_of(s)
+        assert repr((c.abs_zeta, c.analytic_residual, c.flag, c.lam, c.lambda_is_real)) \
+            == repr(want + (lam, abs(lam.imag) < spectrum.REALITY_TOL)), s
+    assert {c.flag for c in cells} == flags
 
 
 def test_scan_grid_with_failing_upper_rows():
