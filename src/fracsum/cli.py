@@ -84,8 +84,9 @@ def _flat_encoder(inner: str):
 
 
 class _Rows:
-    """A list of flat dicts held as columns: the str keys, and one list of
-    plain leaf values per key.  Iterating gives the row dicts."""
+    """A list of flat dicts held as columns: the str keys (plain names
+    without "%"), and one list per key, either all floats or all str and
+    bool values.  Iterating gives the row dicts."""
 
     def __init__(self, keys, columns) -> None:
         self.keys, self.columns = tuple(keys), list(columns)
@@ -103,13 +104,13 @@ _ROWS_BLOCK = 512
 def _column_text(col):
     """A function from a slice of col to its values' json texts."""
     kinds = set(map(type, col))
-    if kinds <= {str, bool, type(None)}:
+    if kinds <= {str, bool}:
         # equal values of these types have equal texts: encode each once
         code = {v: _encode_leaf(v) for v in set(col)}
         return lambda part: map(code.__getitem__, part)
     if str in kinds:
-        return lambda part: map(_encode_leaf, part)
-    # one encoder call; no other leaf's text holds json's item separator
+        raise TypeError("a row column mixes str with other values")
+    # one encoder call; no float's text holds json's item separator
     return lambda part: _encode_leaf(part)[1:-1].split(", ")
 
 
@@ -124,7 +125,7 @@ def _rows_parts(rows: _Rows, out: list, pad: str) -> None:
         return
     inner, item = pad + "  ", pad + "    "
     template = (",\n" + inner + "{\n" + item + (",\n" + item).join(
-        _encode_leaf(k).replace("%", "%%") + ": %s" for k in rows.keys)
+        _encode_leaf(k) + ": %s" for k in rows.keys)
         + "\n" + inner + "}")
     texts = [_column_text(col) for col in rows.columns]
     head = len(out)

@@ -159,17 +159,20 @@ def apply_R(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
 def eigenvalue_of(s: complex | np.ndarray) -> complex | np.ndarray:
     """The would-be eigenvalue i(2s - 1) of R at x^[-s]; purely algebraic.
 
-    An array of s gives an array with each point's scalar bits, signed
-    zeros included: the arithmetic is spelled out as CPython does
-    ``1j * (2.0 * s - 1.0)``, widening each float to a complex with a
-    zero imaginary part.
+    One formula for a scalar s (giving a complex) and an array of s (giving
+    an array), so each point of an array has its scalar bits, signed zeros
+    included.  The real arithmetic is spelled out: 2s - 1 widens 2 and 1 to
+    complexes with a zero imaginary part, and i is the complex 0 + 1i.
+    Overflow gives inf and inf * 0 NaN without a warning, as in Python's
+    complex arithmetic.
     """
-    if isinstance(s, np.ndarray):
-        w = np.empty(s.shape, dtype=complex)
-        w.real = (2.0 * s.real - 0.0 * s.imag) - 1.0
-        w.imag = 2.0 * s.imag + 0.0 * s.real
-        return _cmul(1j, w)
-    return 1j * (2.0 * complex(s) - 1.0)
+    z = np.asarray(s, dtype=complex)
+    w = np.empty(z.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w.real = (2.0 * z.real - 0.0 * z.imag) - 1.0
+        w.imag = 2.0 * z.imag + 0.0 * z.real
+        lam = _cmul(1j, w)
+    return lam if isinstance(s, np.ndarray) else complex(lam)
 
 
 def continuum_dilation(s: complex, cfg: OperatorConfig = DEFAULT_OPERATOR) -> complex:

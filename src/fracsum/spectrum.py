@@ -302,7 +302,13 @@ def scan_s_plane(re_range: tuple[float, float], im_range: tuple[float, float],
                  cfg: SpecFunConfig = DEFAULT_SPECFUN) -> list[ScanCell]:
     """The cells of ``scan_columns``, one ScanCell each, in its order."""
     cols = scan_columns(re_range, im_range, n_re, n_im, cfg)
-    return [ScanCell(*cell) for cell in zip(*(cols[f.name].tolist() for f in fields(ScanCell)))]
+    cells = []
+    for s, abs_zeta, residual, lam, is_real, flag in zip(
+            *(cols[f.name].tolist() for f in fields(ScanCell))):
+        if flag != "ok":  # the one math.nan object, so equal scans compare equal
+            abs_zeta = residual = math.nan
+        cells.append(ScanCell(s, abs_zeta, residual, lam, is_real, flag))
+    return cells
 
 
 @dataclass(frozen=True)

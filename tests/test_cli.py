@@ -497,21 +497,24 @@ def test_json_writer_rejects_what_json_rejects(value):
 
 @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025])
 def test_json_writer_on_rows(n):
-    # a key with %, a string column with ", " and quotes, columns mixing
-    # types whose values compare equal with other texts (-0.0 == 0 ==
-    # False), and blocks that end on and off the row count
-    keys = ("x", "100% \"k\"", "flag", "mixed", "ok", "num")
-    mixed = [1.5, "a, b", None, math.nan, -0.0, 0.0, 0, False, 1, True]
-    columns = [[i / 7 for i in range(n)], [-0.0 * i for i in range(n)],
-               [("ok", 'say "hi", x', None)[i % 3] for i in range(n)],
-               [mixed[i % 10] for i in range(n)], [i % 3 == 0 for i in range(n)],
-               [(-0.0, 0, None, True, 2.5)[i % 5] for i in range(n)]]
+    # the scan's column kinds: floats with signed zeros and non-finite
+    # values, booleans, and strings; blocks that end on and off the row count
+    keys = ("x", "z", "real", "flag")
+    floats = [0.1, -0.0, 0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324]
+    columns = [[i / 7 for i in range(n)], [floats[i % 8] for i in range(n)],
+               [i % 3 == 0 for i in range(n)],
+               [("ok", "pole", "error:ConvergenceError")[i % 3] for i in range(n)]]
     rows = cli._Rows(keys, columns)
     assert len(rows) == n
     table = [dict(zip(keys, row)) for row in zip(*columns)]
     assert list(rows) == table
     assert to_json(rows) == json.dumps(table, indent=2)
     assert to_json({"cells": rows}) == json.dumps({"cells": table}, indent=2)
+
+
+def test_json_writer_refuses_a_row_column_mixing_str():
+    with pytest.raises(TypeError):
+        to_json(cli._Rows(("flag",), [["ok", 1.0]]))
 
 
 def test_json_writer_on_scan_record(capsys):

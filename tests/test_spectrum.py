@@ -246,6 +246,12 @@ def test_scan_is_im_major_and_deterministic():
     assert res == [0.2, 0.5, 0.8]
     again = scan_s_plane((0.2, 0.8), (0.0, 2.0), 3, 3)
     assert cells == again
+    # pole and failed cells hold NaN fields, which compare equal only as
+    # the same object
+    for grid in [((0.9, 1.1), (-0.0005, 0.0005), 3, 3), ((0.1, 3.0), (10.0, 120.0), 30, 12)]:
+        cells = scan_s_plane(*grid)
+        assert {c.flag for c in cells} - {"ok"}
+        assert cells == scan_s_plane(*grid)
 
 
 def test_scan_flags_pole_cells():
