@@ -13,23 +13,32 @@ reference domains and the difference operators move between them:
 ``domain_lo`` field.
 
 For a summand f on U+ the engine reduces x >= 1 to x0 = x - floor(x) by
-the shift sum_{1}^{x} f = sum_{1}^{x-1} f + f(x), evaluates the partial
-expressions
+the shift sum_{1}^{x} f = sum_{1}^{x-1} f + f(x).  The fractional sum at
+x0 is Mueller-Schleicher's limit lim_n [x0 f(n) + sum_{v<=n} g(v)] with
+g(v) = f(v) - f(v+x0); it exists for asymptotically flat f
+(``flatness_probe`` classifies this) and reproduces the ordinary finite
+sum at integer x.  The engine takes the partial values with Euler-Maclaurin
+applied to the tail sum_{v>n} g(v), whose derivatives at n come from the
+backward differences D of g at n (Gregory's formula):
 
-    S_n(x0) = x0 f(n) + sum_{v=1}^{n} (f(v) - f(v+x0))
+    C_n = sum_{v<=n} g(v) + H_n - g(n)/2
+          - (D + D^2/2 + D^3/3 + D^4/4) g(n) / 12 + (D^3 + 3 D^4/2) g(n) / 720
 
-along the index schedule SCHEDULE (doubled on up to MAX_N while
-unconverged), and extrapolates n -> inf with Wynn's epsilon algorithm.  The
-limit exists for asymptotically flat f (``flatness_probe`` classifies this)
-and reproduces the ordinary finite sum at integer x.  S_n is analytic in x,
-so the same loop also takes the derivative under the limit,
-lim_n [f(n) - sum_{v=1}^{n} f'(v+x0)].
+with H_n = int_n^{n+x0} f, by 8-point Gauss-Legendre (x0 may be
+negative).  Only f is evaluated.  It runs C_n along the index schedule
+SCHEDULE (doubled on up to MAX_N while unconverged) and extrapolates
+n -> inf with Wynn's epsilon algorithm.  The limit is analytic in x, so
+the same loop takes the derivative under the limit, with g(v) =
+-f'(v+x0) and H_n = f(n+x0).  The error estimate is the change of the
+last extrapolant, but never below the rounding floor of the magnitudes
+summed into C_n.
 
 ``fractional_sum_limits`` runs the limits of many x in lock-step, one per
 distinct x0 (0.5, 1.5 and 2.5 share one).  Each schedule step evaluates
-f at the integer nodes and the edge f(n) once for all of them, and the
-shifted nodes of every running limit in one call per group of whole rows;
-a limit leaves the batch when it converges.  A group holds at most
+f at the integer nodes once for all of them, and the shifted nodes of
+every running limit in one call per group of whole rows, with each row's
+Gauss-Legendre nodes (for the derivative, H_n of all limits is one more
+call); a limit leaves the batch when it converges.  A group holds at most
 _ROW_BLOCK points and a longer row is evaluated alone, because numpy
 multiplies complex temporaries of 16384 points and up in place, by a loop
 whose last bit may differ: so each limit keeps the bits it has alone.
@@ -63,6 +72,7 @@ NOT_FLAT = "not_flat"
 INCONCLUSIVE = "inconclusive"
 
 _TWO_PI = 2.0 * math.pi
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -182,17 +192,21 @@ def linear_combination(terms: Sequence[tuple[complex, EvalFn]], label: str = "")
 
 
 def _difference(f: EvalFn, h: float, name: str) -> EvalFn:
-    """f(x) - f(x - h), defined on the domain of f shifted right by h."""
+    """f(x) - f(x - h), defined on the domain of f shifted right by h.
 
-    def ev(x):
-        return f.eval(x) - f.eval(x - h)
+    f (or its derivative) is evaluated once, on x and x - h together, and
+    the two halves are subtracted.
+    """
 
-    dv = None
-    if f.analytic_derivative is not None:
-        def dv(x):  # noqa: F811
-            return f.analytic_derivative(x) - f.analytic_derivative(x - h)
+    def halves(fn: Callable) -> Callable:
+        def ev(x):
+            both = fn(np.concatenate([x, x - h]))
+            return both[:x.size] - both[x.size:]
 
-    return EvalFn(f.domain_lo + h, ev, dv, label=f"{name}[{f.label}]")
+        return ev
+
+    dv = None if f.analytic_derivative is None else halves(f.analytic_derivative)
+    return EvalFn(f.domain_lo + h, halves(f.eval), dv, label=f"{name}[{f.label}]")
 
 
 def forward_difference(f: EvalFn) -> EvalFn:
@@ -206,7 +220,7 @@ def half_difference(f: EvalFn) -> EvalFn:
 
 
 #: the base index schedule, which every limit runs in full
-SCHEDULE = (64, 128, 256, 512, 1024, 2048)
+SCHEDULE = (16, 32, 64, 128, 256, 512)
 #: the last index an unconverged limit doubles up to
 MAX_N = 131072
 
@@ -217,8 +231,9 @@ class SummationConfig:
 
     The index schedule is SCHEDULE, extended by further doublings up to
     MAX_N while unconverged.  Wynn's epsilon algorithm extrapolates the
-    partial values after each step; convergence means the last two
-    extrapolants agree within abs_tol.  ``strict`` turns a failed
+    partial values after each step; convergence means the error estimate,
+    the change of the last extrapolant or the rounding floor if larger,
+    is within abs_tol.  ``strict`` turns a failed
     convergence into a ConvergenceError instead of a diagnostic.
     """
 
@@ -235,7 +250,12 @@ DEFAULT_SUMMATION = SummationConfig()
 
 @dataclass(frozen=True)
 class FracSumResult:
-    """Value of a fractional sum (or of its derivative) plus diagnostics."""
+    """Value of a fractional sum (or of its derivative) plus diagnostics.
+
+    ``err_estimate`` is max(|e_k - e_(k-1)|, floor) over the last two
+    extrapolants, where the floor is a few ulps of the magnitudes summed
+    into the partial values; it is 0 for an exact integer sum.
+    """
 
     value: complex
     err_estimate: float
@@ -312,7 +332,7 @@ def flatness_probe(f: EvalFn, x_samples: Iterable[float],
 def _wynn(partials: list[complex]) -> complex:
     """Wynn's epsilon algorithm: the iterated Shanks transform of partials.
 
-    On a ratio-2 schedule each power n^(-a) in the truncation of S_n is a
+    On a ratio-2 schedule each power n^(-a) in the truncation of C_n is a
     geometric sequence in the schedule index, and each even column of the
     epsilon table removes one more of them.  Returns the last entry of the
     deepest even column; a zero difference ends the table (the column
@@ -335,17 +355,42 @@ _ROW_BLOCK = 4096
 #: most terms f(x0+1) + ... + f(x) the exact shift of an x >= 1 may add
 MAX_SHIFT_TERMS = 2 ** 20
 
+#: the 8-point Gauss-Legendre rule on [0, 1]: nodes, and weights summing to 1
+_GL_NODES = (0.019855071751231884, 0.10166676129318664, 0.2372337950418355,
+             0.4082826787521751, 0.591717321247825, 0.7627662049581645,
+             0.8983332387068134, 0.9801449282487681)
+_GL_WEIGHTS = (0.05061426814518813, 0.11119051722668724, 0.15685332293894363,
+               0.181341891689181, 0.181341891689181, 0.15685332293894363,
+               0.11119051722668724, 0.05061426814518813)
+#: Gregory's end correction -g(n)/2 - g'(n)/12 + g'''(n)/720 as weights on
+#: g(n-4), ..., g(n): g' = (D + D^2/2 + D^3/3 + D^4/4) g and
+#: g''' = (D^3 + 3 D^4/2) g, in backward differences D at n
+_GREGORY = (-27 / 1440, 146 / 1440, -336 / 1440, 462 / 1440, -965 / 1440)
+#: an estimate's rounding floor, in ulps of the magnitudes summed into C_n
+_FLOOR_ULPS = 8.0
 
-def _row_sums(g: Callable, x0s: list[float], v: np.ndarray,
-              shared: Optional[np.ndarray]) -> list[complex]:
-    """Per x0, the sum over v of shared - g(x0 + v), or of -g(x0 + v) when
-    shared is None.  g runs on whole rows: at most _ROW_BLOCK points per
-    call, or one longer row alone (see the module docstring)."""
-    per = max(1, _ROW_BLOCK // v.size)
-    out: list[complex] = []
-    for i in range(0, len(x0s), per):
-        vals = g(np.add.outer(x0s[i:i + per], v).ravel()).reshape(-1, v.size)
-        out += (-vals if shared is None else shared - vals).sum(axis=1).tolist()
+
+def _row_sums(g: Callable, x0s: np.ndarray, v: np.ndarray,
+              shared: Optional[np.ndarray], extra: np.ndarray) -> list[tuple]:
+    """Per x0, the terms shared - g(x0 + v) over the row v (-g(x0 + v) when
+    shared is None) as (their sum, the magnitudes they were formed from,
+    their last five), and g at x0's row of ``extra`` points (one row per
+    x0, maybe empty), which share the call.  g runs on whole rows: at most
+    _ROW_BLOCK points per call, or one longer row alone (see the module
+    docstring)."""
+    width = v.size + extra.shape[1]
+    per = max(1, _ROW_BLOCK // width)
+    out: list[tuple] = []
+    for i in range(0, x0s.size, per):
+        points = np.concatenate([np.add.outer(x0s[i:i + per], v), extra[i:i + per]], axis=1)
+        vals = g(points.ravel()).reshape(-1, width)
+        at = vals[:, :v.size]
+        terms = -at if shared is None else shared - at
+        mags = np.abs(at).sum(axis=1)
+        if shared is not None:
+            mags += np.abs(shared).sum()
+        out += zip(terms.sum(axis=1).tolist(), mags.tolist(),
+                   terms[:, -5:].tolist(), vals[:, v.size:].tolist())
     return out
 
 
@@ -375,21 +420,32 @@ def fractional_sum_limits(f: EvalFn, xs: Sequence[float],
     nodes = [x0 + np.arange(1.0, float(x) - x0 + 0.5) for x, x0 in zip(xs, x0s)]
     shifts = [complex(np.sum(g(at))) if at.size else 0j for at in nodes]
 
-    # per running limit: its partial values and extrapolants
-    live = {x0: ([], []) for x0 in x0s if derivative or x0 != 0.0}
-    running = dict.fromkeys(live, 0j)
+    # per running limit: its partial values C_n, its extrapolants, and the
+    # running sums of its terms and of their magnitudes
+    live = {x0: ([], [], [0j, 0.0]) for x0 in x0s if derivative or x0 != 0.0}
     done: dict[float, FracSumResult] = {}
     prev_n, n = 0, SCHEDULE[0]
     while live:
         v = np.arange(prev_n + 1.0, n + 0.5)
-        sums = _row_sums(g, list(live), v, None if derivative else f(v))
-        edge = f(float(n))
-        for (x0, (p, e)), total in zip(list(live.items()), sums):
-            running[x0] += complex(total)
-            p.append(complex(edge if derivative else x0 * edge) + running[x0])
+        starts = np.array(list(live))
+        if derivative:
+            # g(v) = -f'(v + x0) and H_n = f(n + x0)
+            rows = _row_sums(g, starts, v, None, np.empty((starts.size, 0)))
+            heads = f(n + starts).tolist()
+        else:
+            # g(v) = f(v) - f(v + x0) and H_n = int_n^(n+x0) f, by Gauss-Legendre
+            rows = _row_sums(f, starts, v, f(v), n + np.multiply.outer(starts, _GL_NODES))
+            heads = [x0 * sum(w * y for w, y in zip(_GL_WEIGHTS, ends))
+                     for x0, (*_, ends) in zip(starts.tolist(), rows)]
+        for (x0, (p, e, acc)), (total, mag, last, _), head in zip(
+                list(live.items()), rows, heads):
+            acc[0] += total
+            acc[1] += mag + abs(head)
+            p.append(acc[0] + head + sum(w * y for w, y in zip(_GREGORY, last)))
             if len(p) >= 3:
                 e.append(_wynn(p))
-            err = abs(e[-1] - e[-2]) if len(e) >= 2 else math.inf
+            floor = _FLOOR_ULPS * _EPS * (acc[1] + abs(p[-1]))
+            err = max(abs(e[-1] - e[-2]), floor) if len(e) >= 2 else math.inf
             if (n >= SCHEDULE[-1] and err <= cfg.abs_tol) or 2 * n > MAX_N:
                 done[x0] = FracSumResult(e[-1], float(err), n, err <= cfg.abs_tol)
                 del live[x0]
@@ -417,8 +473,8 @@ def fractional_sum_limit(f: EvalFn, x: float,
 
     x >= 1 is reduced to x0 = x - floor(x), and f(x0+1) + ... + f(x) is
     added exactly.  At integer x that is the whole (exact) sum; otherwise
-    the limit of S_n(x0) = x0 f(n) + sum_{v=1}^n (f(v) - f(v+x0)) is
-    taken.  The one-point entry of ``fractional_sum_limits``.
+    the limit of the end-corrected partial values C_n at x0 (see the module
+    docstring) is taken.  The one-point entry of ``fractional_sum_limits``.
     """
     return fractional_sum_limits(f, [x], cfg)[0]
 
@@ -427,9 +483,9 @@ def fractional_sum_derivative(f: EvalFn, x: float,
                               cfg: SummationConfig = DEFAULT_SUMMATION) -> FracSumResult:
     """d/dx sum_{v=1}^{x} f(v) for x > -1, for f with an analytic derivative.
 
-    The limit of dS_n/dx = f(n) - sum_{v=1}^n f'(v+x0), plus f'(x0+1) + ...
-    + f'(x) exactly, with x0 as in ``fractional_sum_limit``.  The one-point
-    entry of ``fractional_sum_limits``.
+    The limit of C_n with g(v) = -f'(v+x0) and H_n = f(n+x0), plus
+    f'(x0+1) + ... + f'(x) exactly, with x0 as in ``fractional_sum_limit``.
+    The one-point entry of ``fractional_sum_limits``.
     """
     return fractional_sum_limits(f, [x], cfg, derivative=True)[0]
 

@@ -110,9 +110,12 @@ def apply_X(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
     analytic derivative, so does X f: the fractional sum's derivative,
     taken under the limit.  An array of x is one lock-step batch of
     limits, one per distinct x0, sharing the integer nodes and grouped by
-    whole rows (``core.fractional_sum_limits``).  In strict mode the
-    integrand must pass the flatness probe (checked lazily on first use,
-    before any limit); a not_flat classification raises ConvergenceError.
+    whole rows (``core.fractional_sum_limits``).  Each evaluation of the
+    integrand v * (Delta f)(v) calls f once (and f' once for its
+    derivative), on the points and their left neighbours together.  In
+    strict mode the integrand must pass the flatness probe (checked lazily
+    on first use, before any limit); a not_flat classification raises
+    ConvergenceError.
     """
     if f.domain_lo > -1.0:
         raise DomainError(f"apply_X needs a function on (-1, inf); got ({f.domain_lo}, inf)")

@@ -36,8 +36,8 @@ from fracsum import (
     sin_2pi_fn,
     sum_log,
 )
-from fracsum import core
-from fracsum.core import MAX_N, MAX_SHIFT_TERMS, SCHEDULE, _wynn
+from fracsum.core import (_EPS, _FLOOR_ULPS, _GL_NODES, _GL_WEIGHTS, _GREGORY, MAX_N,
+                          MAX_SHIFT_TERMS, SCHEDULE, _wynn)
 from oracles import richardson_diff
 
 PROBE = (0.5, 1.0, 2.0)
@@ -136,6 +136,18 @@ def test_forward_difference_log_gamma_gives_log():
         assert abs(complex(d(x)) - math.log(x)) < 1e-12
 
 
+def test_difference_evaluates_f_once():
+    # f (and f') runs once per call, on x and x - h together
+    calls = []
+    f = EvalFn(-1.0, lambda x: calls.append(x.size) or x * x + 0j,
+               lambda x: calls.append(x.size) or 2.0 * x + 0j, "x^2")
+    xs = np.array([0.5, 1.5, 4.0])
+    d = forward_difference(f)
+    assert np.array_equal(d(xs), 2.0 * xs - 1.0)
+    assert np.array_equal(d.derivative(xs), np.full(3, 2.0 + 0j))
+    assert calls == [6, 6]
+
+
 def test_half_difference_of_linear():
     x_fn = EvalFn(-1.0, lambda x: x + 0j, lambda x: np.ones_like(x) + 0j, "x")
     d = half_difference(x_fn)
@@ -221,14 +233,37 @@ def test_oracle_equivalence_random_cases():
         assert err < max(1e-6, 10.0 * res.err_estimate)
 
 
-def test_strict_mode_raises_on_divergence(monkeypatch):
-    # v^(1/2) is flat and summable (frac_power(0.5, -0.5) = 0.4383320906)
-    # and its limit converges at n = 8192 by default; MAX_N = 2048 stops the
-    # schedule before the extrapolants agree within abs_tol
-    monkeypatch.setattr(core, "MAX_N", 2048)
+def oscillating_fn() -> EvalFn:
+    """e^(7iv): f(v + x) - f(v) does not tend to 0, so no fractional sum
+    exists, and the corrected partial values wander at every n."""
+    return EvalFn(0.0, lambda x: np.exp(7j * x), lambda x: 7j * np.exp(7j * x),
+                  label="exp(7iv)")
+
+
+def test_strict_mode_raises_on_divergence():
+    # the limit runs to MAX_N without converging, and strict mode raises
     cfg = SummationConfig(strict=True)
+    with pytest.raises(ConvergenceError, match=f"n up to {MAX_N}"):
+        fractional_sum_limit(oscillating_fn(), 0.5, cfg)
+
+
+def test_growing_summand_converges_within_its_estimate():
+    # v^0.9: the raw partial sums stalled at n = 131072 with err 2e-6; the
+    # corrected ones converge on the base schedule, inside their estimate
+    res = fractional_sum_limit(power_fn(-0.9), 0.5)
+    assert res.converged
+    assert res.n_used <= 4096
+    assert abs(res.value - frac_power(0.5, -0.9)) <= res.err_estimate
+
+
+def test_estimate_keeps_a_rounding_floor():
+    # the estimate never claims less than the rounding of what was summed,
+    # so an abs_tol below that floor cannot be met
+    res = fractional_sum_limit(power_fn(2.0), 0.5)
+    assert res.converged
+    assert res.err_estimate >= _FLOOR_ULPS * _EPS * abs(res.value)
     with pytest.raises(ConvergenceError):
-        fractional_sum_limit(power_fn(-0.5), 0.5, cfg)
+        fractional_sum_limit(power_fn(2.0), 0.5, SummationConfig(abs_tol=1e-16, strict=True))
 
 
 def test_domain_checks():
@@ -277,26 +312,37 @@ def test_fractional_sum_derivative_matches_closed_form():
 
 
 def reference_limit(f, x, cfg, derivative):
-    """One point on its own: S_n along the schedule, then the package's _wynn."""
+    """One point on its own: the corrected partial values C_n along the
+    schedule, then the package's _wynn."""
     x0 = x - math.floor(x) if x >= 1.0 else x
     nodes = x0 + np.arange(1.0, x - x0 + 0.5)
     g = f.derivative if derivative else f
     shift = complex(np.sum(g(nodes))) if nodes.size else 0j
     if x0 == 0.0 and not derivative:
         return shift, 0.0, nodes.size, True
-    partials, estimates, err, running, prev_n, n = [], [], math.inf, 0j, 0, SCHEDULE[0]
+    partials, estimates, err, running, mag, prev_n, n = [], [], math.inf, 0j, 0.0, 0, SCHEDULE[0]
     while True:
         v = np.arange(prev_n + 1.0, n + 0.5)
         if derivative:
-            running += complex(np.sum(-f.derivative(v + x0)))
-            partials.append(complex(f(float(n))) + running)
+            # g(v) = -f'(v + x0), H_n = f(n + x0)
+            at = f.derivative(v + x0)
+            terms, row_mag = -at, float(np.abs(at).sum())
+            head = complex(f(n + x0))
         else:
-            running += complex(np.sum(f(v) - f(v + x0)))
-            partials.append(complex(x0 * f(float(n))) + running)
+            # g(v) = f(v) - f(v + x0), H_n = x0 * Gauss-Legendre mean of f on [n, n + x0]
+            at, shared = f(v + x0), f(v)
+            terms = shared - at
+            row_mag = float(np.abs(at).sum() + np.abs(shared).sum())
+            ends = f(n + x0 * np.array(_GL_NODES)).tolist()
+            head = x0 * sum(w * y for w, y in zip(_GL_WEIGHTS, ends))
+        running += complex(terms.sum())
+        mag += row_mag + abs(head)
+        partials.append(running + head + sum(w * y for w, y in zip(_GREGORY, terms[-5:].tolist())))
         if len(partials) >= 3:
             estimates.append(_wynn(partials))
             if len(estimates) >= 2:
-                err = abs(estimates[-1] - estimates[-2])
+                floor = _FLOOR_ULPS * _EPS * (mag + abs(partials[-1]))
+                err = max(abs(estimates[-1] - estimates[-2]), floor)
         prev_n = n
         if (n >= SCHEDULE[-1] and err <= cfg.abs_tol) or 2 * n > MAX_N:
             break
@@ -312,15 +358,16 @@ def as_bytes(value, err, n_used, converged):
 @pytest.mark.parametrize("case", ["sample_grid", "unconverged_long_rows"])
 def test_batch_limits_bitwise_equal_per_point_reference(case, derivative):
     # the X integrand of x^[-s] on the default grid: 0.5, 1.5 and 2.5 share
-    # x0 = 0.5, 1, 5 and 10 are integers, -0.9 and -0.1 are negative.  v^0.9
-    # does not converge and runs to n = 131072, so its last rows hold 32768
-    # and 65536 points, past the size where numpy's complex multiply changes
-    # loop; its limits run alone on those rows and in groups below them
+    # x0 = 0.5, 1, 5 and 10 are integers, -0.9 and -0.1 are negative.
+    # e^(7iv) does not converge and runs to n = 131072, so its last rows
+    # hold 32768 and 65536 points, past the size where numpy's complex
+    # multiply changes loop; its limits run alone on those rows and in
+    # groups below them
     if case == "sample_grid":
         f = apply_x_mult(forward_difference(frac_power_fn(0.5 + 14.134725141734693j)))
         xs = OperatorConfig().sample_grid
     else:
-        f, xs = power_fn(-0.9), (0.3, 0.5, 3.7, 12.9)
+        f, xs = oscillating_fn(), (0.3, 0.5, 3.7, 12.9)
     cfg = SummationConfig()
     batch = fractional_sum_limits(f, xs, cfg, derivative)
     assert len(batch) == len(xs)
@@ -336,7 +383,7 @@ def test_batch_limits_bitwise_equal_per_point_reference(case, derivative):
 def test_batch_strict_raises_first_failing_point_in_order():
     # the per-point loop raised at the first x that failed, naming that x
     cfg = SummationConfig(strict=True)
-    f = power_fn(-0.9)
+    f = oscillating_fn()
     with pytest.raises(ConvergenceError) as alone:
         fractional_sum_limit(f, 3.7, cfg)
     with pytest.raises(ConvergenceError) as batch:
@@ -463,5 +510,5 @@ def test_sum_log_values():
 def test_summation_config_validation():
     with pytest.raises(Exception):
         SummationConfig(abs_tol=0.0)
-    assert SCHEDULE == (64, 128, 256, 512, 1024, 2048)
+    assert SCHEDULE == (16, 32, 64, 128, 256, 512)
     assert MAX_N == 131072

@@ -86,6 +86,15 @@ def test_numeric_residual_strict_at_second_and_third_zero():
         assert eigen_residual(0.5 + 1j * t, cfg).numeric_residual < 1e-8
 
 
+def test_numeric_residual_strict_at_zeros_11_and_29():
+    # the X integrand grows like v^(1/2) here; raw partial sums stalled at
+    # n = 131072 from zero 11 on, and the end-corrected ones converge
+    from fracsum import OperatorConfig, SummationConfig
+    cfg = OperatorConfig(sum_cfg=SummationConfig(strict=True))
+    for t in (52.97032147771446, 98.83119421819369):
+        assert eigen_residual(0.5 + 1j * t, cfg).numeric_residual <= 1e-9
+
+
 def test_eigen_residual_requires_right_half_plane():
     with pytest.raises(DomainError):
         eigen_residual(-0.2 + 3j)
