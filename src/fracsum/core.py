@@ -31,7 +31,10 @@ n -> inf with Wynn's epsilon algorithm.  The limit is analytic in x, so
 the same loop takes the derivative under the limit, with g(v) =
 -f'(v+x0) and H_n = f(n+x0).  The error estimate is the change of the
 last extrapolant, but never below the rounding floor of the magnitudes
-summed into C_n.
+summed into C_n.  It is infinite, and the limit unconverged, while the
+end term |g(n)| does not fall from one step to the next: the correction
+also sums summands that are not flat, to their analytic continuation,
+and that is not the limit.
 
 ``fractional_sum_limits`` runs the limits of many x in lock-step, one per
 distinct x0 (0.5, 1.5 and 2.5 share one).  Each schedule step evaluates
@@ -221,6 +224,8 @@ def half_difference(f: EvalFn) -> EvalFn:
 
 #: the base index schedule, which every limit runs in full
 SCHEDULE = (16, 32, 64, 128, 256, 512)
+#: the indices n at which ``flatness_probe`` samples f(n + x) - f(n)
+FLATNESS_NS = (64, 128, 256, 512, 1024, 2048)
 #: the last index an unconverged limit doubles up to
 MAX_N = 131072
 
@@ -233,8 +238,9 @@ class SummationConfig:
     MAX_N while unconverged.  Wynn's epsilon algorithm extrapolates the
     partial values after each step; convergence means the error estimate,
     the change of the last extrapolant or the rounding floor if larger,
-    is within abs_tol.  ``strict`` turns a failed
-    convergence into a ConvergenceError instead of a diagnostic.
+    is within abs_tol, and the end term of the sum fell on that step.
+    ``strict`` turns a failed convergence into a ConvergenceError instead
+    of a diagnostic.
     """
 
     abs_tol: float = 1e-8
@@ -254,7 +260,9 @@ class FracSumResult:
 
     ``err_estimate`` is max(|e_k - e_(k-1)|, floor) over the last two
     extrapolants, where the floor is a few ulps of the magnitudes summed
-    into the partial values; it is 0 for an exact integer sum.
+    into the partial values; it is 0 for an exact integer sum, and inf
+    when the last step's end term |g(n)| did not fall below _FALL_RATIO
+    times the step before's (or below the floor).
     """
 
     value: complex
@@ -283,7 +291,7 @@ def flatness_probe(f: EvalFn, x_samples: Iterable[float],
     """Classify whether f(n+x) - f(n) -> 0 along the index schedule.
 
     This is an explicit finite-sample heuristic, not a proof.  Per sample it
-    inspects d_n = |f(n+x) - f(n)| on SCHEDULE and calls the
+    inspects d_n = |f(n+x) - f(n)| on FLATNESS_NS and calls the
     sequence *flat* when, after the first element, it decays monotonically
     with a fitted positive exponent (so the extrapolated trend passes below
     abs_tol), *not_flat* when it stays bounded away from zero or grows, and
@@ -295,13 +303,13 @@ def flatness_probe(f: EvalFn, x_samples: Iterable[float],
         raise DomainError("flatness_probe needs at least one sample")
     if min(xs) <= 0.0:
         raise DomainError("flatness samples must be positive")
-    narr = np.asarray(SCHEDULE, dtype=float)
+    narr = np.asarray(FLATNESS_NS, dtype=float)
     at_n = f(narr)
     samples = []
     for x in xs:
         d = np.abs(f(narr + x) - at_n)
         if d.max() <= cfg.abs_tol:
-            samples.append(FlatnessSample(x, SCHEDULE, tuple(float(v) for v in d),
+            samples.append(FlatnessSample(x, FLATNESS_NS, tuple(float(v) for v in d),
                                           math.inf, FLAT))
             continue
         tail = d[1:]
@@ -309,7 +317,7 @@ def flatness_probe(f: EvalFn, x_samples: Iterable[float],
             ratios = tail[1:] / tail[:-1]
         ratios = ratios[np.isfinite(ratios)]
         if ratios.size == 0:
-            samples.append(FlatnessSample(x, SCHEDULE, tuple(d), math.nan, INCONCLUSIVE))
+            samples.append(FlatnessSample(x, FLATNESS_NS, tuple(d), math.nan, INCONCLUSIVE))
             continue
         alpha = float(-np.median(np.log2(ratios)))
         if np.all(ratios < 0.97) and alpha >= 0.05:
@@ -318,7 +326,7 @@ def flatness_probe(f: EvalFn, x_samples: Iterable[float],
             verdict = NOT_FLAT
         else:
             verdict = INCONCLUSIVE
-        samples.append(FlatnessSample(x, SCHEDULE, tuple(float(v) for v in d), alpha, verdict))
+        samples.append(FlatnessSample(x, FLATNESS_NS, tuple(float(v) for v in d), alpha, verdict))
 
     if any(s.verdict == NOT_FLAT for s in samples):
         overall = NOT_FLAT
@@ -368,29 +376,36 @@ _GL_WEIGHTS = (0.05061426814518813, 0.11119051722668724, 0.15685332293894363,
 _GREGORY = (-27 / 1440, 146 / 1440, -336 / 1440, 462 / 1440, -965 / 1440)
 #: an estimate's rounding floor, in ulps of the magnitudes summed into C_n
 _FLOOR_ULPS = 8.0
+#: most a limit's end term |g(n)| may keep of its value one step earlier,
+#: unless it is below the rounding floor, for the limit to have an estimate
+_FALL_RATIO = 0.999
 
 
 def _row_sums(g: Callable, x0s: np.ndarray, v: np.ndarray,
-              shared: Optional[np.ndarray], extra: np.ndarray) -> list[tuple]:
+              shared: Optional[np.ndarray], extra: Optional[np.ndarray] = None) -> list[tuple]:
     """Per x0, the terms shared - g(x0 + v) over the row v (-g(x0 + v) when
     shared is None) as (their sum, the magnitudes they were formed from,
-    their last five), and g at x0's row of ``extra`` points (one row per
-    x0, maybe empty), which share the call.  g runs on whole rows: at most
-    _ROW_BLOCK points per call, or one longer row alone (see the module
-    docstring)."""
-    width = v.size + extra.shape[1]
+    their last five), and when ``extra`` (one row of points per x0) is
+    given, g at x0's extra points as a fourth field; they share the call.
+    g runs on whole rows: at most _ROW_BLOCK points per call, or one longer
+    row alone (see the module docstring)."""
+    width = v.size + (0 if extra is None else extra.shape[1])
     per = max(1, _ROW_BLOCK // width)
     out: list[tuple] = []
     for i in range(0, x0s.size, per):
-        points = np.concatenate([np.add.outer(x0s[i:i + per], v), extra[i:i + per]], axis=1)
+        points = np.add.outer(x0s[i:i + per], v)
+        if extra is not None:
+            points = np.concatenate([points, extra[i:i + per]], axis=1)
         vals = g(points.ravel()).reshape(-1, width)
         at = vals[:, :v.size]
         terms = -at if shared is None else shared - at
         mags = np.abs(at).sum(axis=1)
         if shared is not None:
             mags += np.abs(shared).sum()
-        out += zip(terms.sum(axis=1).tolist(), mags.tolist(),
-                   terms[:, -5:].tolist(), vals[:, v.size:].tolist())
+        fields = [terms.sum(axis=1).tolist(), mags.tolist(), terms[:, -5:].tolist()]
+        if extra is not None:
+            fields.append(vals[:, v.size:].tolist())
+        out += zip(*fields)
     return out
 
 
@@ -420,9 +435,9 @@ def fractional_sum_limits(f: EvalFn, xs: Sequence[float],
     nodes = [x0 + np.arange(1.0, float(x) - x0 + 0.5) for x, x0 in zip(xs, x0s)]
     shifts = [complex(np.sum(g(at))) if at.size else 0j for at in nodes]
 
-    # per running limit: its partial values C_n, its extrapolants, and the
-    # running sums of its terms and of their magnitudes
-    live = {x0: ([], [], [0j, 0.0]) for x0 in x0s if derivative or x0 != 0.0}
+    # per running limit: its partial values C_n, its extrapolants, the
+    # running sums of its terms and of their magnitudes, and its last end
+    live = {x0: ([], [], [0j, 0.0, math.inf]) for x0 in x0s if derivative or x0 != 0.0}
     done: dict[float, FracSumResult] = {}
     prev_n, n = 0, SCHEDULE[0]
     while live:
@@ -430,14 +445,14 @@ def fractional_sum_limits(f: EvalFn, xs: Sequence[float],
         starts = np.array(list(live))
         if derivative:
             # g(v) = -f'(v + x0) and H_n = f(n + x0)
-            rows = _row_sums(g, starts, v, None, np.empty((starts.size, 0)))
+            rows = _row_sums(g, starts, v, None)
             heads = f(n + starts).tolist()
         else:
             # g(v) = f(v) - f(v + x0) and H_n = int_n^(n+x0) f, by Gauss-Legendre
             rows = _row_sums(f, starts, v, f(v), n + np.multiply.outer(starts, _GL_NODES))
             heads = [x0 * sum(w * y for w, y in zip(_GL_WEIGHTS, ends))
                      for x0, (*_, ends) in zip(starts.tolist(), rows)]
-        for (x0, (p, e, acc)), (total, mag, last, _), head in zip(
+        for (x0, (p, e, acc)), (total, mag, last, *_), head in zip(
                 list(live.items()), rows, heads):
             acc[0] += total
             acc[1] += mag + abs(head)
@@ -445,7 +460,11 @@ def fractional_sum_limits(f: EvalFn, xs: Sequence[float],
             if len(p) >= 3:
                 e.append(_wynn(p))
             floor = _FLOOR_ULPS * _EPS * (acc[1] + abs(p[-1]))
-            err = max(abs(e[-1] - e[-2]), floor) if len(e) >= 2 else math.inf
+            # the end |g(n)| must fall, or no limit exists to estimate
+            end = max(map(abs, last))
+            falling = end <= _FALL_RATIO * acc[2] or end <= floor
+            acc[2] = end
+            err = max(abs(e[-1] - e[-2]), floor) if len(e) >= 2 and falling else math.inf
             if (n >= SCHEDULE[-1] and err <= cfg.abs_tol) or 2 * n > MAX_N:
                 done[x0] = FracSumResult(e[-1], float(err), n, err <= cfg.abs_tol)
                 del live[x0]
@@ -459,9 +478,11 @@ def fractional_sum_limits(f: EvalFn, xs: Sequence[float],
             continue
         res = done[x0]
         if cfg.strict and not res.converged:
+            why = "" if math.isfinite(res.err_estimate) else \
+                "; its terms g(n) do not fall, so the summand is not flat"
             raise ConvergenceError(
                 f"{what} of {f.label or 'summand'} at x={x} stalled at err ~ "
-                f"{res.err_estimate:.3e} (abs_tol {cfg.abs_tol:.1e}, n up to {res.n_used})"
+                f"{res.err_estimate:.3e} (abs_tol {cfg.abs_tol:.1e}, n up to {res.n_used}){why}"
             )
         out.append(replace(res, value=res.value + shift))
     return out

@@ -115,7 +115,8 @@ def apply_X(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
     derivative), on the points and their left neighbours together.  In
     strict mode the integrand must pass the flatness probe (checked lazily
     on first use, before any limit); a not_flat classification raises
-    ConvergenceError.
+    ConvergenceError.  An inconclusive one goes on to the limits, which
+    converge only where the integrand's terms fall.
     """
     if f.domain_lo > -1.0:
         raise DomainError(f"apply_X needs a function on (-1, inf); got ({f.domain_lo}, inf)")

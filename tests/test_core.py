@@ -36,8 +36,8 @@ from fracsum import (
     sin_2pi_fn,
     sum_log,
 )
-from fracsum.core import (_EPS, _FLOOR_ULPS, _GL_NODES, _GL_WEIGHTS, _GREGORY, MAX_N,
-                          MAX_SHIFT_TERMS, SCHEDULE, _wynn)
+from fracsum.core import (_EPS, _FALL_RATIO, _FLOOR_ULPS, _GL_NODES, _GL_WEIGHTS, _GREGORY,
+                          FLATNESS_NS, MAX_N, MAX_SHIFT_TERMS, SCHEDULE, _wynn)
 from oracles import richardson_diff
 
 PROBE = (0.5, 1.0, 2.0)
@@ -256,6 +256,19 @@ def test_growing_summand_converges_within_its_estimate():
     assert abs(res.value - frac_power(0.5, -0.9)) <= res.err_estimate
 
 
+def test_summand_that_is_not_flat_has_no_limit():
+    # v^1.5: f(v + x) - f(v) grows, so no limit exists, though C_n tends to
+    # the analytic continuation zeta(-1.5) - zeta(-1.5, 1.5); its terms do
+    # not fall, so it has no estimate and strict mode raises
+    res = fractional_sum_limit(power_fn(-1.5), 0.5)
+    assert not res.converged
+    assert res.err_estimate == math.inf
+    with pytest.raises(ConvergenceError, match="not flat"):
+        fractional_sum_limit(power_fn(-1.5), 0.5, SummationConfig(strict=True))
+    with pytest.raises(ConvergenceError, match="not flat"):
+        fractional_sum_derivative(power_fn(-1.5), 0.5, SummationConfig(strict=True))
+
+
 def test_estimate_keeps_a_rounding_floor():
     # the estimate never claims less than the rounding of what was summed,
     # so an abs_tol below that floor cannot be met
@@ -313,7 +326,7 @@ def test_fractional_sum_derivative_matches_closed_form():
 
 def reference_limit(f, x, cfg, derivative):
     """One point on its own: the corrected partial values C_n along the
-    schedule, then the package's _wynn."""
+    schedule, then the package's _wynn; no estimate while |g(n)| does not fall."""
     x0 = x - math.floor(x) if x >= 1.0 else x
     nodes = x0 + np.arange(1.0, x - x0 + 0.5)
     g = f.derivative if derivative else f
@@ -321,6 +334,7 @@ def reference_limit(f, x, cfg, derivative):
     if x0 == 0.0 and not derivative:
         return shift, 0.0, nodes.size, True
     partials, estimates, err, running, mag, prev_n, n = [], [], math.inf, 0j, 0.0, 0, SCHEDULE[0]
+    prev_end = math.inf
     while True:
         v = np.arange(prev_n + 1.0, n + 0.5)
         if derivative:
@@ -338,11 +352,14 @@ def reference_limit(f, x, cfg, derivative):
         running += complex(terms.sum())
         mag += row_mag + abs(head)
         partials.append(running + head + sum(w * y for w, y in zip(_GREGORY, terms[-5:].tolist())))
+        floor = _FLOOR_ULPS * _EPS * (mag + abs(partials[-1]))
+        end = float(np.abs(terms[-5:]).max())
+        falling = end <= _FALL_RATIO * prev_end or end <= floor
+        prev_end = end
         if len(partials) >= 3:
             estimates.append(_wynn(partials))
             if len(estimates) >= 2:
-                floor = _FLOOR_ULPS * _EPS * (mag + abs(partials[-1]))
-                err = max(abs(estimates[-1] - estimates[-2]), floor)
+                err = max(abs(estimates[-1] - estimates[-2]), floor) if falling else math.inf
         prev_n = n
         if (n >= SCHEDULE[-1] and err <= cfg.abs_tol) or 2 * n > MAX_N:
             break
@@ -512,3 +529,4 @@ def test_summation_config_validation():
         SummationConfig(abs_tol=0.0)
     assert SCHEDULE == (16, 32, 64, 128, 256, 512)
     assert MAX_N == 131072
+    assert FLATNESS_NS == (64, 128, 256, 512, 1024, 2048)
