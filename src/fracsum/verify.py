@@ -82,10 +82,16 @@ def _sigma(f: EvalFn, xs, sum_cfg) -> np.ndarray:
     return np.array([r.value for r in fractional_sum_limits(f, xs, sum_cfg)])
 
 
-def _richardson_diff(fn, xs, h=1e-5) -> np.ndarray:
+def _richardson_diff(fn, xs, h=3e-4) -> np.ndarray:
     """Richardson-improved central differences of fn at each x, from one
     call of fn on every stencil point; the arithmetic is per point in
-    Python complex, as it would be at a scalar x."""
+    Python complex, as it would be at a scalar x.
+
+    The step balances the h^4 truncation against rounding: x^[-s] carries
+    up to ~1e-14 of rounding noise, which the stencil divides by h.  Over
+    the derivative check's draws the worst error against the exact
+    derivative is 6e-11 at h = 3e-4 and 2e-9 at h = 1e-5, where the
+    reference's own noise, not the formula, set the check's measure."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     vals = np.asarray(fn(np.concatenate([xs + h, xs - h, xs + h / 2, xs - h / 2])))
     return np.array([(4 * ((up2 - dn2) / h) - (up - dn) / (2 * h)) / 3
