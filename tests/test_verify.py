@@ -8,6 +8,8 @@ from fracsum import (
     SpecFunConfig,
     apply_R,
     eigenvalue_of,
+    frac_power,
+    frac_power_derivative,
     frac_power_fn,
     riemann_zeta,
 )
@@ -75,3 +77,11 @@ def test_operator_suite_uses_spec_cfg():
     assert measure(operator_suite(0, DEFAULT_OPERATOR, cfg)) == direct
     assert measure(operator_suite(0)) != direct
 
+
+
+@pytest.mark.parametrize("x, s", [(-0.5, 0.2 + 5j), (-0.5, 2.4 - 5j), (2.806, 0.263 - 3.081j)])
+def test_derivative_reference_is_below_its_rounding_noise(x, s):
+    # corners of the derivative check's draws: at a step of 1e-5 the
+    # reference's rounding noise alone is 6e-10 .. 1.4e-9 here
+    ref = verify._richardson_diff(lambda u: frac_power(u, s), x)[0]
+    assert abs(ref - frac_power_derivative(x, s)) < 1e-10
