@@ -113,7 +113,8 @@ def test_acceptance_sum_of_logs_is_log_gamma():
 
 # 4 ------------------------------------------------------------------------
 
-def test_acceptance_derivative_formula_matches_finite_differences():
+def derivative_cases():
+    """The 20 (x, s) draws of the derivative check."""
     rng = random.Random(43)
     cases = []
     while len(cases) < 20:
@@ -122,8 +123,12 @@ def test_acceptance_derivative_formula_matches_finite_differences():
         if abs(s) < 0.1 or abs(s - 1.0) < 0.05:
             continue
         cases.append((x, s))
+    return cases
+
+
+def test_acceptance_derivative_formula_matches_finite_differences():
     worst = 0.0
-    for x, s in cases:
+    for x, s in derivative_cases():
         fd = richardson_diff(lambda u, s=s: complex(frac_power(u, s)), x)
         worst = max(worst, abs(fd - frac_power_derivative(x, s)))
     ok = worst < 1e-6

@@ -565,3 +565,38 @@ def test_module_entry_point():
     assert proc.returncode == 0
     rec = json.loads(proc.stdout)
     assert abs(rec["results"]["value"]["re"] - 1.0) < 1e-12
+
+
+# Run in a fresh interpreter: which modules a command loads beyond those
+# `import fracsum.cli` loads.  numpy 1.x imports numpy.ma with numpy, so
+# only what a command adds counts.
+_MODULES_SCRIPT = """
+import io, json, sys
+import fracsum.cli
+at_import = set(sys.modules)
+out, sys.stdout = sys.stdout, io.StringIO()
+code = fracsum.cli.main(sys.argv[1:])
+sys.stdout = out
+print(json.dumps({"code": code, "at_import": sorted(at_import),
+                  "added": sorted(set(sys.modules) - at_import)}))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeros", "14", "15"],
+    ["zeros", "13.7", "14.6", "--numeric-residual"],
+    ["scan", "0.1", "0.9", "10", "12", "3", "3"],
+    ["eval", "sigma", "--x", "2.5", "--s", "0.5+14i"],
+    ["verify", "all", "--seed", "0"],
+])
+def test_commands_load_only_what_they_use(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", _MODULES_SCRIPT, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    assert run["code"] == 0
+    assert "fracsum.verify" not in run["at_import"]
+    assert ("fracsum.verify" in run["added"]) == (argv[0] == "verify")
+    assert "numpy.ma" not in run["added"]

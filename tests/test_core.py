@@ -190,6 +190,30 @@ def test_flatness_rejects_bad_samples():
         flatness_probe(log_fn(), [1.0, -0.5])
 
 
+def _median_alpha(diffs):
+    tail = np.asarray(diffs)[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = tail[1:] / tail[:-1]
+        return float(-np.median(np.log2(ratios[np.isfinite(ratios)])))
+
+
+@pytest.mark.parametrize("diffs", [
+    (1.0, 0.5, 0.3, 0.2, 0.15, 0.11),    # 4 finite ratios
+    (1.0, 0.0, 0.3, 0.2, 0.1, 0.07),     # 3: the first is 0.3 / 0
+    (1.0, 0.5, 0.3, 0.0, 0.2, 0.1),      # 3, one of them 0 (log2 -inf)
+    (1.0, 0.5, 0.3, 0.2, 0.1, 0.0),      # 4, one of them 0
+    (1.0, 0.0, 0.3, 0.0, 0.2, 0.1),      # 2, one of them 0: alpha is inf
+    (1.0, 0.5, 0.5, 0.5, 0.5, 0.5),      # 4 ratios of 1: alpha is -0.0
+])
+def test_flatness_alpha_is_median_of_log_ratios(diffs):
+    # f(n) = 0 and f(n + 0.5) = diffs[k] at n = FLATNESS_NS[k]
+    table = dict(zip(FLATNESS_NS, diffs))
+    f = pointwise_fn(0.0, lambda v: table[math.floor(v)] if v % 1 else 0.0)
+    (sample,) = flatness_probe(f, (0.5,)).samples
+    assert sample.diffs == diffs
+    assert sample.decay_exponent.hex() == _median_alpha(diffs).hex()
+
+
 # ------------------------------------------------------- summation limit
 
 def test_integer_arguments_exact():
