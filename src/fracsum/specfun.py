@@ -177,9 +177,12 @@ def hurwitz_zeta_with_error(s, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     w = a + em_terms); the rest start the tail at w = a.  The tail costs one
     complex power w^(-s) per point.  The explicit sum runs over blocks of
     _HURWITZ_BLOCK points, so its (block x em_terms) temporaries stay
-    bounded however long the array is.  A point's value has the same bits
-    alone and in every array that holds it, whichever argument is the
-    array.
+    bounded however long the array is.  An array of s with few distinct
+    Re s and Im s (a grid) has its explicit terms factored into one
+    magnitude per Re s and one phase per Im s, which gives the bits of
+    their complex exps (see ``_power_rows``).  A point's value has the
+    same bits alone and in every array that holds it, whichever argument
+    is the array.
     """
     value, each, rounding = _hurwitz_kernel(s, a, cfg)
     if isinstance(each, np.ndarray):  # an array of s, an estimate per point
@@ -198,6 +201,55 @@ def hurwitz_zeta_with_error(s, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     return value, each + rounding
 
 
+def _power_rows(s: np.ndarray, logs: np.ndarray):
+    """A function from a slice of the 1-D complex s to its terms
+    exp(-s logs), one C-contiguous row per s over the real logs.
+
+    numpy's complex exp is the C library's cexp(x + iy) = exp(x) (cos y,
+    sin y), and -s logs has real part -sigma logs and imaginary part
+    (-sigma) 0 + (-t) logs.  Where the s hold few distinct Re and Im (fewer
+    than half as many in all as there are s, as on the strip scan's grid),
+    the rows are built from a table of magnitudes, one per distinct Re,
+    cexp(x + 0i) = exp(x), and a table of phases, one per distinct Im,
+    cexp(0 + iy) = (cos y, sin y), multiplied part by part as cexp
+    multiplies them.  So each finite s keeps the bits of its own complex
+    exp, signed zeros included.  Other s (every Im differs, as on the
+    Hardy-Z grid and in the bisection rounds) take one complex exp a term.
+    """
+    def direct(rows):
+        return np.exp(-s[rows, None] * logs)
+
+    # an Im that strictly increases cannot repeat, and checking that first
+    # spares a zero search numpy's sort code (and its pages of memory)
+    if np.all(s.imag[1:] > s.imag[:-1]):
+        return direct
+    # distinct values by their bits, so that 0.0 and -0.0 stay apart
+    sig_bits, sig_at = np.unique(s.real.view(np.int64), return_inverse=True)
+    t_bits, t_at = np.unique(s.imag.view(np.int64), return_inverse=True)
+    if sig_bits.size + t_bits.size >= s.size // 2:
+        return direct
+    sigma, t = sig_bits.view(float), t_bits.view(float)
+    mag = np.exp(-sigma[:, None] * logs + 0j).real
+    y = -t[:, None] * logs
+    neg = np.signbit(sigma)
+    if neg.any():
+        # where sigma carries a sign bit, (-sigma) 0 = +0 turns a y of -0
+        # into +0: those s take a second table of phases
+        y = np.concatenate((y, y + 0.0))
+        t_at = t_at + t.size * neg[sig_at]
+    phase = np.zeros(y.shape, dtype=complex)
+    phase.imag = y
+    np.exp(phase, out=phase)
+
+    def factored(rows):
+        out = phase[t_at[rows]]
+        m = mag[sig_at[rows]]
+        out.real *= m
+        out.imag *= m
+        return out
+    return factored
+
+
 def _hurwitz_kernel(s, a, cfg: SpecFunConfig):
     """Hurwitz zeta(s, a) with each point's truncation estimate, ungated.
 
@@ -207,7 +259,11 @@ def _hurwitz_kernel(s, a, cfg: SpecFunConfig):
     factor, at the smallest tail start w; and the rounding floor.  For an
     array of s the last two are arrays over s, for a scalar s they are
     floats.  No target is checked and a non-finite value is returned as it
-    is.  An array of s raises only for a pole, Re(s) <= -2
+    is.  For an array of s the explicit terms (a < em_terms) come from
+    ``_power_rows``: factored into magnitudes per distinct Re s and phases
+    per distinct Im s when those number fewer than half the points, else
+    one complex exp each; either way with the same bits.  An array of s
+    raises only for a pole, Re(s) <= -2
     EM_BERNOULLI_ORDER, an invalid a or array shape, and
     sigma + 2M + 1 <= 0, where no estimate exists.
     """
@@ -252,10 +308,9 @@ def _hurwitz_kernel(s, a, cfg: SpecFunConfig):
             value[rows] = np.exp(-s * np.log(arr[rows, None] + k)).sum(axis=1)
     elif near.size:
         # one a for every s: the logs are shared and the rows are the s
-        logs = np.log(arr + k)
+        terms = _power_rows(s, np.log(arr + k))
         for lo in range(0, s.size, _HURWITZ_BLOCK):
-            rows = slice(lo, lo + _HURWITZ_BLOCK)
-            value[rows] = np.exp(-s[rows, None] * logs).sum(axis=1)
+            value[lo:lo + _HURWITZ_BLOCK] = terms(slice(lo, lo + _HURWITZ_BLOCK)).sum(axis=1)
 
     # Euler-Maclaurin tail from one complex power e = w^(-s) per point:
     # w^(1-s) = w e, and the Bernoulli powers w^(-s-2j+1) = e w^(1-2j) step

@@ -123,6 +123,40 @@ def test_hurwitz_vectorized_matches_scalar():
                                       for si in line[upper]]).tobytes()
 
 
+def _product_grid(re, im):
+    # im-major, as the strip scan lays out its cells; set part by part, as
+    # re + 1j * im would turn an Im of -0.0 into 0.0
+    s = np.empty(re.size * im.size, dtype=complex)
+    s.real = np.tile(re, im.size)
+    s.imag = np.repeat(im, re.size)
+    return s
+
+
+def test_hurwitz_factored_grid_matches_scalar():
+    # a grid of few distinct Re and Im builds its explicit terms from one
+    # magnitude per Re and one phase per Im; each point must keep the bits
+    # of its scalar call.  Re and Im of both signs and both zeros, a
+    # repeated Im row, 328 points (a block and a part); then a grid that
+    # holds s = 1 (twice: Im 0.0 and -0.0), without it, as the scan passes
+    # its off-pole cells.  numpy's real exp differs from the C library's
+    # exp in the last bit of some magnitudes, which would show here.
+    im = np.array([-20.0, -3.5, -0.0, 0.0, 0.5, 14.1347, 20.0, 0.5])
+    grid = _product_grid(np.concatenate([np.linspace(-2.45, 2.55, 39), [0.0, -0.0]]), im)
+    scan = _product_grid(np.linspace(0.5, 1.5, 41), im)
+    assert np.count_nonzero(scan == 1) == 2
+    logs = np.log(1.0 + np.arange(specfun.DEFAULT_SPECFUN.em_terms))
+    for s in (grid, scan[scan != 1]):
+        assert s.size % specfun._HURWITZ_BLOCK
+        assert specfun._power_rows(s, logs).__name__ == "factored"
+        assert hurwitz_zeta(s, 1.0).tobytes() == \
+            np.array([hurwitz_zeta(complex(si), 1.0) for si in s]).tobytes()
+    # term by term too: the exponent's imaginary part (-Re s) 0 + (-Im s) L
+    # is +0, not -0, where Re s carries a sign bit and (-Im s) L is -0 (at
+    # L = log 1, or Im s = 0.0), a zero sign that the row sums drop
+    assert specfun._power_rows(grid, logs)(slice(None)).tobytes() == \
+        np.exp(-grid[:, None] * logs).tobytes()
+
+
 @pytest.mark.parametrize("blocks", [1, 2])
 def test_hurwitz_blocks_are_bitwise_equal_to_two_wide_slices(blocks):
     # B+1 and 2B+1 points, every one with a < em_terms so that all take the
