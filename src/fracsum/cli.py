@@ -24,6 +24,8 @@ import time
 from dataclasses import asdict, replace
 from functools import lru_cache
 
+import numpy as np
+
 from .core import SummationConfig, frac_power_with_error, fractional_sum_limit, power_fn, sum_log
 from .errors import ConvergenceError, DomainError, FracsumError
 from .operators import OperatorConfig
@@ -84,8 +86,8 @@ def _flat_encoder(inner: str):
 
 class _Rows:
     """A list of flat dicts held as columns: the str keys (plain names
-    without "%"), and one list per key, either all floats or all str and
-    bool values.  Iterating gives the row dicts."""
+    without "%"), and one 1-D numpy array per key, of floats, of bools or
+    of str objects.  Iterating gives the row dicts, of Python values."""
 
     def __init__(self, keys, columns) -> None:
         self.keys, self.columns = tuple(keys), list(columns)
@@ -94,23 +96,39 @@ class _Rows:
         return len(self.columns[0])
 
     def __iter__(self):
-        return (dict(zip(self.keys, row)) for row in zip(*self.columns))
+        return (dict(zip(self.keys, row)) for row in zip(*(c.tolist() for c in self.columns)))
 
 
 _ROWS_BLOCK = 512
 
 
 def _column_text(col):
-    """A function from a slice of col to its values' json texts."""
-    kinds = set(map(type, col))
-    if kinds <= {str, bool}:
-        # equal values of these types have equal texts: encode each once
-        code = {v: _encode_leaf(v) for v in set(col)}
-        return lambda part: map(code.__getitem__, part)
-    if str in kinds:
-        raise TypeError("a row column mixes str with other values")
-    # one encoder call; no float's text holds json's item separator
-    return lambda part: _encode_leaf(part)[1:-1].split(", ")
+    """A function from a slice of the array col to its values' json texts.
+
+    A column of few distinct values encodes each value once: bool and str
+    columns always, and float columns where fewer than half the values
+    differ (such as the scan's grid coordinates).  Floats are told apart by
+    their bits, which keep 0.0, -0.0 and NaN apart where == does not.  A
+    float column whose values mostly differ is one encoder call per slice,
+    so that its texts are never held all at once.
+    """
+    if col.dtype.kind == "f":
+        distinct, at = np.unique(col.view(np.int64), return_inverse=True)
+        if 2 * distinct.size < col.size:
+            texts = np.array(_numbers_text(distinct.view(float).tolist()), dtype=object)
+            return lambda part: texts[at[part]].tolist()
+        return lambda part: _numbers_text(col[part].tolist())
+    values = col.tolist()
+    if not set(map(type, values)) <= {str, bool}:
+        raise TypeError("a row column holds neither floats nor only str and bool values")
+    # equal values of these types have equal texts
+    code = {v: _encode_leaf(v) for v in set(values)}
+    return lambda part: map(code.__getitem__, values[part])
+
+
+def _numbers_text(values):
+    # one encoder call; no number's text holds json's item separator
+    return _encode_leaf(values)[1:-1].split(", ")
 
 
 def _rows_parts(rows: _Rows, out: list, pad: str) -> None:
@@ -129,7 +147,7 @@ def _rows_parts(rows: _Rows, out: list, pad: str) -> None:
     texts = [_column_text(col) for col in rows.columns]
     head = len(out)
     for lo in range(0, len(rows), _ROWS_BLOCK):
-        block = [text(col[lo:lo + _ROWS_BLOCK]) for text, col in zip(texts, rows.columns)]
+        block = [text(slice(lo, lo + _ROWS_BLOCK)) for text in texts]
         out.extend(map(template.__mod__, zip(*block)))
     out[head] = "[" + out[head][1:]
     out.append("\n" + pad + "]")
@@ -370,9 +388,8 @@ def _cmd_scan(args, cfgs, diagnostics):
                         args.n_re, args.n_im, spec_cfg)
     s, lam, flag = cols["s"], cols["lam"], cols["flag"]
     rows = _Rows(SCAN_CSV_COLUMNS, [
-        s.real.tolist(), s.imag.tolist(), cols["abs_zeta"].tolist(),
-        cols["analytic_residual"].tolist(), lam.real.tolist(), lam.imag.tolist(),
-        cols["lambda_is_real"].tolist(), flag.tolist()])
+        s.real, s.imag, cols["abs_zeta"], cols["analytic_residual"], lam.real, lam.imag,
+        cols["lambda_is_real"], flag])
     n_cells, n_error = len(rows), int((flag == "error:ConvergenceError").sum())
     inputs = {"re0": args.re0, "re1": args.re1, "im0": args.im0, "im1": args.im1,
               "n_re": args.n_re, "n_im": args.n_im}

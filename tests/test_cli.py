@@ -497,24 +497,26 @@ def test_json_writer_rejects_what_json_rejects(value):
 
 @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025])
 def test_json_writer_on_rows(n):
-    # the scan's column kinds: floats with signed zeros and non-finite
-    # values, booleans, and strings; blocks that end on and off the row count
+    # the scan's column kinds: floats that all differ, floats of few values
+    # (encoded once each) with signed zeros and non-finite values, booleans,
+    # and strings; blocks that end on and off the row count
     keys = ("x", "z", "real", "flag")
     floats = [0.1, -0.0, 0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324]
     columns = [[i / 7 for i in range(n)], [floats[i % 8] for i in range(n)],
                [i % 3 == 0 for i in range(n)],
                [("ok", "pole", "error:ConvergenceError")[i % 3] for i in range(n)]]
-    rows = cli._Rows(keys, columns)
+    rows = cli._Rows(keys, [np.array(col, dtype=kind) for col, kind in
+                            zip(columns, (float, float, bool, object))])
     assert len(rows) == n
     table = [dict(zip(keys, row)) for row in zip(*columns)]
-    assert list(rows) == table
+    assert repr(list(rows)) == repr(table)  # repr: NaN fields, and -0.0 apart from 0.0
     assert to_json(rows) == json.dumps(table, indent=2)
     assert to_json({"cells": rows}) == json.dumps({"cells": table}, indent=2)
 
 
 def test_json_writer_refuses_a_row_column_mixing_str():
     with pytest.raises(TypeError):
-        to_json(cli._Rows(("flag",), [["ok", 1.0]]))
+        to_json(cli._Rows(("flag",), [np.array(["ok", 1.0], dtype=object)]))
 
 
 def test_json_writer_on_scan_record(capsys):
