@@ -308,20 +308,22 @@ def flatness_probe(f: EvalFn, x_samples: Iterable[float],
     samples = []
     for x in xs:
         d = np.abs(f(narr + x) - at_n)
+        diffs = tuple(d.tolist())
         if d.max() <= cfg.abs_tol:
-            samples.append(FlatnessSample(x, FLATNESS_NS, tuple(float(v) for v in d),
-                                          math.inf, FLAT))
+            samples.append(FlatnessSample(x, FLATNESS_NS, diffs, math.inf, FLAT))
             continue
         tail = d[1:]
+        # a zero difference gives a ratio of 0, inf or nan, and a ratio of 0
+        # a log of -inf, which the median and the verdict handle
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = tail[1:] / tail[:-1]
-        ratios = ratios[np.isfinite(ratios)]
+            ratios = ratios[np.isfinite(ratios)]
+            logs = np.sort(np.log2(ratios))
         if ratios.size == 0:
-            samples.append(FlatnessSample(x, FLATNESS_NS, tuple(d), math.nan, INCONCLUSIVE))
+            samples.append(FlatnessSample(x, FLATNESS_NS, diffs, math.nan, INCONCLUSIVE))
             continue
         # np.median's value, taken by hand: on its first call np.median
         # imports numpy.ma, which costs a run more than this whole probe
-        logs = np.sort(np.log2(ratios))
         mid = logs.size // 2
         median = logs[mid] if logs.size % 2 else (logs[mid - 1] + logs[mid]) / 2
         alpha = float(-median)
@@ -331,7 +333,7 @@ def flatness_probe(f: EvalFn, x_samples: Iterable[float],
             verdict = NOT_FLAT
         else:
             verdict = INCONCLUSIVE
-        samples.append(FlatnessSample(x, FLATNESS_NS, tuple(float(v) for v in d), alpha, verdict))
+        samples.append(FlatnessSample(x, FLATNESS_NS, diffs, alpha, verdict))
 
     if any(s.verdict == NOT_FLAT for s in samples):
         overall = NOT_FLAT

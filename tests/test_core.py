@@ -194,7 +194,8 @@ def _median_alpha(diffs):
     tail = np.asarray(diffs)[1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = tail[1:] / tail[:-1]
-        return float(-np.median(np.log2(ratios[np.isfinite(ratios)])))
+        ratios = ratios[np.isfinite(ratios)]
+        return float(-np.median(np.log2(ratios))) if ratios.size else math.nan
 
 
 @pytest.mark.parametrize("diffs", [
@@ -204,6 +205,7 @@ def _median_alpha(diffs):
     (1.0, 0.5, 0.3, 0.2, 0.1, 0.0),      # 4, one of them 0
     (1.0, 0.0, 0.3, 0.0, 0.2, 0.1),      # 2, one of them 0: alpha is inf
     (1.0, 0.5, 0.5, 0.5, 0.5, 0.5),      # 4 ratios of 1: alpha is -0.0
+    (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),      # none finite: alpha is nan
 ])
 def test_flatness_alpha_is_median_of_log_ratios(diffs):
     # f(n) = 0 and f(n + 0.5) = diffs[k] at n = FLATNESS_NS[k]
@@ -211,6 +213,7 @@ def test_flatness_alpha_is_median_of_log_ratios(diffs):
     f = pointwise_fn(0.0, lambda v: table[math.floor(v)] if v % 1 else 0.0)
     (sample,) = flatness_probe(f, (0.5,)).samples
     assert sample.diffs == diffs
+    assert {type(v) for v in sample.diffs} == {float}
     assert sample.decay_exponent.hex() == _median_alpha(diffs).hex()
 
 
