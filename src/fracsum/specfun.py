@@ -208,13 +208,15 @@ def _power_rows(s: np.ndarray, logs: np.ndarray):
     numpy's complex exp is the C library's cexp(x + iy) = exp(x) (cos y,
     sin y), and -s logs has real part -sigma logs and imaginary part
     (-sigma) 0 + (-t) logs.  Where the s hold few distinct Re and Im (fewer
-    than half as many in all as there are s, as on the strip scan's grid),
-    the rows are built from a table of magnitudes, one per distinct Re,
-    cexp(x + 0i) = exp(x), and a table of phases, one per distinct Im,
+    than an eighth as many in all as there are s, as on the strip scan's
+    grid), the rows are built from a table of magnitudes, one per distinct
+    Re, cexp(x + 0i) = exp(x), and a table of phases, one per distinct Im,
     cexp(0 + iy) = (cos y, sin y), multiplied part by part as cexp
     multiplies them.  So each finite s keeps the bits of its own complex
-    exp, signed zeros included.  Other s (every Im differs, as on the
-    Hardy-Z grid and in the bisection rounds) take one complex exp a term.
+    exp, signed zeros included.  The eighth keeps the tables, which live
+    for the whole call, to at most a quarter of the terms of all the rows.
+    Other s (every Im differs, as on the Hardy-Z grid and in the bisection
+    rounds) take one complex exp a term.
     """
     def direct(rows):
         return np.exp(-s[rows, None] * logs)
@@ -226,7 +228,7 @@ def _power_rows(s: np.ndarray, logs: np.ndarray):
     # distinct values by their bits, so that 0.0 and -0.0 stay apart
     sig_bits, sig_at = np.unique(s.real.view(np.int64), return_inverse=True)
     t_bits, t_at = np.unique(s.imag.view(np.int64), return_inverse=True)
-    if sig_bits.size + t_bits.size >= s.size // 2:
+    if sig_bits.size + t_bits.size >= s.size // 8:
         return direct
     sigma, t = sig_bits.view(float), t_bits.view(float)
     mag = np.exp(-sigma[:, None] * logs + 0j).real
@@ -261,11 +263,11 @@ def _hurwitz_kernel(s, a, cfg: SpecFunConfig):
     floats.  No target is checked and a non-finite value is returned as it
     is.  For an array of s the explicit terms (a < em_terms) come from
     ``_power_rows``: factored into magnitudes per distinct Re s and phases
-    per distinct Im s when those number fewer than half the points, else
-    one complex exp each; either way with the same bits.  An array of s
-    raises only for a pole, Re(s) <= -2
-    EM_BERNOULLI_ORDER, an invalid a or array shape, and
-    sigma + 2M + 1 <= 0, where no estimate exists.
+    per distinct Im s when those number fewer than an eighth of the
+    points, else one complex exp each; either way with the same bits.  An
+    array of s raises only for a pole, Re(s) <= -2 EM_BERNOULLI_ORDER, an
+    invalid a or array shape, and sigma + 2M + 1 <= 0, where no estimate
+    exists.
     """
     batch = isinstance(s, (np.ndarray, list, tuple)) and np.ndim(s) > 0
     if batch:

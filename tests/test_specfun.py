@@ -135,12 +135,12 @@ def _product_grid(re, im):
 def test_hurwitz_factored_grid_matches_scalar():
     # a grid of few distinct Re and Im builds its explicit terms from one
     # magnitude per Re and one phase per Im; each point must keep the bits
-    # of its scalar call.  Re and Im of both signs and both zeros, a
-    # repeated Im row, 328 points (a block and a part); then a grid that
-    # holds s = 1 (twice: Im 0.0 and -0.0), without it, as the scan passes
-    # its off-pole cells.  numpy's real exp differs from the C library's
-    # exp in the last bit of some magnitudes, which would show here.
-    im = np.array([-20.0, -3.5, -0.0, 0.0, 0.5, 14.1347, 20.0, 0.5])
+    # of its scalar call.  Re and Im of both signs and both zeros, repeated
+    # Im rows, 492 points (a block and a part); then a grid that holds
+    # s = 1 (twice: Im 0.0 and -0.0), without it, as the scan passes its
+    # off-pole cells.  numpy's real exp differs from the C library's exp
+    # in the last bit of some magnitudes, which would show here.
+    im = np.array([-20.0, -7.25, -3.5, -0.0, 0.0, 0.5, 3.5, 9.0, 14.1347, 20.0, 0.5, -3.5])
     grid = _product_grid(np.concatenate([np.linspace(-2.45, 2.55, 39), [0.0, -0.0]]), im)
     scan = _product_grid(np.linspace(0.5, 1.5, 41), im)
     assert np.count_nonzero(scan == 1) == 2
