@@ -69,7 +69,6 @@ from .core import (
 )
 from .operators import (
     DEFAULT_OPERATOR,
-    PROBE_GRID,
     OperatorConfig,
     apply_R,
     apply_X,
@@ -109,7 +108,7 @@ __all__ = [
     "fractional_sum_limit", "fractional_sum_limits", "half_difference",
     "linear_combination", "log_fn", "pointwise_fn", "power_fn", "sin_2pi_fn",
     "sum_log",
-    "DEFAULT_OPERATOR", "PROBE_GRID", "OperatorConfig", "apply_R", "apply_X",
+    "DEFAULT_OPERATOR", "OperatorConfig", "apply_R", "apply_X",
     "apply_p", "apply_x_mult", "continuum_dilation", "eigenvalue_of",
     "EIGEN_TOL", "REALITY_TOL", "BoundaryReport", "EigenCandidate",
     "EigenReport", "HalfShiftNorm", "ScanCell", "ZetaZero", "boundary_report",

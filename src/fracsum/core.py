@@ -26,22 +26,24 @@ backward differences D of g at n (Gregory's formula):
 
 with H_n = int_n^{n+x0} f, by 8-point Gauss-Legendre (x0 may be
 negative).  Only f is evaluated.  It runs C_n along the index schedule
-SCHEDULE (doubled on up to MAX_N while unconverged) and extrapolates
-n -> inf with Wynn's epsilon algorithm.  The limit is analytic in x, so
-the same loop takes the derivative under the limit, with g(v) =
--f'(v+x0) and H_n = f(n+x0).  The error estimate is the change of the
-last extrapolant, but never below the rounding floor of the magnitudes
-summed into C_n.  It is infinite, and the limit unconverged, while the
-end term |g(n)| does not fall from one step to the next: the correction
-also sums summands that are not flat, to their analytic continuation,
-and that is not the limit.
+SCHEDULE and extrapolates n -> inf with Wynn's epsilon algorithm.  The
+limit is analytic in x, so the same loop takes the derivative under the
+limit, with g(v) = -f'(v+x0) and H_n = f(n+x0).  The error estimate is
+the change of the last extrapolant, but never below the rounding floor
+of the magnitudes summed into C_n.  It is infinite while the end term
+|g(n)| does not fall from one step to the next: the correction also sums
+summands that are not flat, to their analytic continuation, and that is
+not the limit.  A limit doubles n past SCHEDULE, up to MAX_N, while its
+estimate exceeds abs_tol; from SCHEDULE's last step on it stops,
+unconverged, at the first step whose end term did not fall or whose
+floor, which only grows, tops abs_tol.
 
 ``fractional_sum_limits`` runs the limits of many x in lock-step, one per
 distinct x0 (0.5, 1.5 and 2.5 share one).  Each schedule step evaluates
 f at the integer nodes once for all of them, and the shifted nodes of
 every running limit in one call per group of whole rows, with each row's
 Gauss-Legendre nodes (for the derivative, H_n of all limits is one more
-call); a limit leaves the batch when it converges.  A group holds at most
+call); a limit leaves the batch when it stops.  A group holds at most
 _ROW_BLOCK points and a longer row is evaluated alone, because numpy
 multiplies complex temporaries of 16384 points and up in place, by a loop
 whose last bit may differ: so each limit keeps the bits it has alone.
@@ -235,10 +237,11 @@ class SummationConfig:
     """Controls the limit engine.
 
     The index schedule is SCHEDULE, extended by further doublings up to
-    MAX_N while unconverged.  Wynn's epsilon algorithm extrapolates the
-    partial values after each step; convergence means the error estimate,
-    the change of the last extrapolant or the rounding floor if larger,
-    is within abs_tol, and the end term of the sum fell on that step.
+    MAX_N while unconverged, until a step whose end term did not fall or
+    whose rounding floor tops abs_tol.  Wynn's epsilon algorithm
+    extrapolates the partial values after each step; convergence means the
+    error estimate, the change of the last extrapolant or the rounding
+    floor if larger, is within abs_tol, and the end term fell on that step.
     ``strict`` turns a failed convergence into a ConvergenceError instead
     of a diagnostic.
     """
@@ -262,7 +265,8 @@ class FracSumResult:
     extrapolants, where the floor is a few ulps of the magnitudes summed
     into the partial values; it is 0 for an exact integer sum, and inf
     when the last step's end term |g(n)| did not fall below _FALL_RATIO
-    times the step before's (or below the floor).
+    times the step before's (or below the floor).  An unconverged limit
+    reports the step it stopped at (see SummationConfig).
     """
 
     value: complex
@@ -472,7 +476,11 @@ def fractional_sum_limits(f: EvalFn, xs: Sequence[float],
             falling = end <= _FALL_RATIO * acc[2] or end <= floor
             acc[2] = end
             err = max(abs(e[-1] - e[-2]), floor) if len(e) >= 2 and falling else math.inf
-            if (n >= SCHEDULE[-1] and err <= cfg.abs_tol) or 2 * n > MAX_N:
+            # from the base schedule's end a limit also stops once it cannot
+            # converge: its end term did not fall, or its floor (which only
+            # grows) tops abs_tol
+            known = err <= cfg.abs_tol or not falling or _FLOOR_ULPS * _EPS * acc[1] > cfg.abs_tol
+            if (n >= SCHEDULE[-1] and known) or 2 * n > MAX_N:
                 done[x0] = FracSumResult(e[-1], float(err), n, err <= cfg.abs_tol)
                 del live[x0]
         prev_n, n = n, 2 * n

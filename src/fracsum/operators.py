@@ -20,20 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    NOT_FLAT,
     EvalFn,
     SummationConfig,
-    flatness_probe,
     forward_difference,
     fractional_sum_limits,
     linear_combination,
 )
 from .errors import ConvergenceError, DomainError, OutOfRangeError
 from .specfun import _cmul
-
-#: positive abscissas used for the lazy flatness check inside apply_X
-PROBE_GRID = (0.5, 1.0, 2.5)
-
 
 @dataclass(frozen=True)
 class OperatorConfig:
@@ -112,31 +106,16 @@ def apply_X(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
     limits, one per distinct x0, sharing the integer nodes and grouped by
     whole rows (``core.fractional_sum_limits``).  Each evaluation of the
     integrand v * (Delta f)(v) calls f once (and f' once for its
-    derivative), on the points and their left neighbours together.  In
-    strict mode the integrand must pass the flatness probe (checked lazily
-    on first use, before any limit); a not_flat classification raises
-    ConvergenceError.  An inconclusive one goes on to the limits, which
-    converge only where the integrand's terms fall.
+    derivative), on the points and their left neighbours together.  The
+    limits alone judge flatness: one whose terms do not fall stops
+    unconverged, and in strict mode raises ConvergenceError.
     """
     if f.domain_lo > -1.0:
         raise DomainError(f"apply_X needs a function on (-1, inf); got ({f.domain_lo}, inf)")
     integrand = apply_x_mult(forward_difference(f))
-    checked = []
-
-    def ensure_flat() -> None:
-        if checked:
-            return
-        report = flatness_probe(integrand, PROBE_GRID, cfg.sum_cfg)
-        if report.verdict == NOT_FLAT:
-            raise ConvergenceError(
-                f"x*Delta[{f.label}] classified not_flat; its fractional sum diverges"
-            )
-        checked.append(True)
 
     def pointwise(derivative: bool):
         def at(xs):
-            if cfg.sum_cfg.strict:
-                ensure_flat()
             return np.array([r.value for r in fractional_sum_limits(
                 integrand, xs.tolist(), cfg.sum_cfg, derivative)])
 

@@ -267,10 +267,19 @@ def oscillating_fn() -> EvalFn:
                   label="exp(7iv)")
 
 
+def chirp_fn() -> EvalFn:
+    """e^(iv^2)/v^2: flat, but its local period 2 pi / (2v) shrinks below
+    the unit step, so neither its sum nor its derivative converges by MAX_N."""
+    return EvalFn(0.0, lambda x: np.exp(1j * x * x) / x ** 2,
+                  lambda x: np.exp(1j * x * x) * (2j / x - 2.0 / x ** 3),
+                  label="exp(iv^2)/v^2")
+
+
 def test_strict_mode_raises_on_divergence():
-    # the limit runs to MAX_N without converging, and strict mode raises
+    # the end terms of e^(7iv) do not fall, so its limit stops at the end of
+    # the base schedule, unconverged, and strict mode raises
     cfg = SummationConfig(strict=True)
-    with pytest.raises(ConvergenceError, match=f"n up to {MAX_N}"):
+    with pytest.raises(ConvergenceError, match=f"n up to {SCHEDULE[-1]}"):
         fractional_sum_limit(oscillating_fn(), 0.5, cfg)
 
 
@@ -290,6 +299,7 @@ def test_summand_that_is_not_flat_has_no_limit():
     res = fractional_sum_limit(power_fn(-1.5), 0.5)
     assert not res.converged
     assert res.err_estimate == math.inf
+    assert res.n_used == SCHEDULE[-1]
     with pytest.raises(ConvergenceError, match="not flat"):
         fractional_sum_limit(power_fn(-1.5), 0.5, SummationConfig(strict=True))
     with pytest.raises(ConvergenceError, match="not flat"):
@@ -304,6 +314,15 @@ def test_estimate_keeps_a_rounding_floor():
     assert res.err_estimate >= _FLOOR_ULPS * _EPS * abs(res.value)
     with pytest.raises(ConvergenceError):
         fractional_sum_limit(power_fn(2.0), 0.5, SummationConfig(abs_tol=1e-16, strict=True))
+
+
+def test_limit_stops_once_its_floor_tops_abs_tol():
+    # the floor only grows with n, so a limit whose floor already exceeds
+    # abs_tol at the end of the base schedule stops there, with its estimate
+    res = fractional_sum_limit(power_fn(0.3), 5.5, SummationConfig(abs_tol=1e-16))
+    assert not res.converged
+    assert res.n_used == SCHEDULE[-1]
+    assert 1e-16 <= res.err_estimate < math.inf
 
 
 def test_domain_checks():
@@ -353,7 +372,8 @@ def test_fractional_sum_derivative_matches_closed_form():
 
 def reference_limit(f, x, cfg, derivative):
     """One point on its own: the corrected partial values C_n along the
-    schedule, then the package's _wynn; no estimate while |g(n)| does not fall."""
+    schedule, then the package's _wynn; no estimate while |g(n)| does not
+    fall, and from the base schedule's end a stop once it cannot converge."""
     x0 = x - math.floor(x) if x >= 1.0 else x
     nodes = x0 + np.arange(1.0, x - x0 + 0.5)
     g = f.derivative if derivative else f
@@ -388,7 +408,8 @@ def reference_limit(f, x, cfg, derivative):
             if len(estimates) >= 2:
                 err = max(abs(estimates[-1] - estimates[-2]), floor) if falling else math.inf
         prev_n = n
-        if (n >= SCHEDULE[-1] and err <= cfg.abs_tol) or 2 * n > MAX_N:
+        stuck = not falling or _FLOOR_ULPS * _EPS * mag > cfg.abs_tol
+        if (n >= SCHEDULE[-1] and (err <= cfg.abs_tol or stuck)) or 2 * n > MAX_N:
             break
         n *= 2
     return estimates[-1] + shift, float(err), prev_n, err <= cfg.abs_tol
@@ -403,15 +424,15 @@ def as_bytes(value, err, n_used, converged):
 def test_batch_limits_bitwise_equal_per_point_reference(case, derivative):
     # the X integrand of x^[-s] on the default grid: 0.5, 1.5 and 2.5 share
     # x0 = 0.5, 1, 5 and 10 are integers, -0.9 and -0.1 are negative.
-    # e^(7iv) does not converge and runs to n = 131072, so its last rows
-    # hold 32768 and 65536 points, past the size where numpy's complex
+    # e^(iv^2)/v^2 does not converge and runs to n = 131072, so its last
+    # rows hold 32768 and 65536 points, past the size where numpy's complex
     # multiply changes loop; its limits run alone on those rows and in
     # groups below them
     if case == "sample_grid":
         f = apply_x_mult(forward_difference(frac_power_fn(0.5 + 14.134725141734693j)))
         xs = OperatorConfig().sample_grid
     else:
-        f, xs = oscillating_fn(), (0.3, 0.5, 3.7, 12.9)
+        f, xs = chirp_fn(), (0.3, 0.5, 3.7, 12.9)
     cfg = SummationConfig()
     batch = fractional_sum_limits(f, xs, cfg, derivative)
     assert len(batch) == len(xs)
@@ -419,9 +440,10 @@ def test_batch_limits_bitwise_equal_per_point_reference(case, derivative):
         want = reference_limit(f, float(x), cfg, derivative)
         assert as_bytes(res.value, res.err_estimate, res.n_used, res.converged) == \
             as_bytes(*want), x
-    if case == "unconverged_long_rows" and not derivative:
+    if case == "unconverged_long_rows":
         assert not any(r.converged for r in batch)
         assert {r.n_used for r in batch} == {MAX_N}
+        assert all(math.isfinite(r.err_estimate) for r in batch)
 
 
 def test_batch_strict_raises_first_failing_point_in_order():

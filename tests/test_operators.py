@@ -151,7 +151,7 @@ def test_X_derivative_matches_closed_form():
 
 
 def test_X_strict_rejects_not_flat():
-    # x * Delta(x^2) = x(2x - 1) grows, so the probe must refuse the sum
+    # x * Delta(x^2) = x(2x - 1) grows, so the limit must refuse the sum
     cfg = OperatorConfig(sum_cfg=SummationConfig(strict=True))
     growing = EvalFn(-1.0, lambda x: np.asarray(x, dtype=float) ** 2 + 0j,
                      label="x^2")
@@ -160,13 +160,13 @@ def test_X_strict_rejects_not_flat():
         complex(xf(0.5))
 
 
-def test_X_strict_probe_runs_before_any_limit():
-    # a whole grid is one batch of limits, and the flatness probe still
-    # comes first: the error is the probe's verdict, not a stalled limit
+def test_X_strict_grid_stops_at_base_schedule_end():
+    # a whole grid is one batch of limits, and the engine alone refuses it:
+    # the first point's terms do not fall, so it stops at n = 512
     cfg = OperatorConfig(sum_cfg=SummationConfig(strict=True))
     growing = EvalFn(-1.0, lambda x: np.asarray(x, dtype=float) ** 2 + 0j,
                      label="x^2")
-    with pytest.raises(ConvergenceError, match="not_flat"):
+    with pytest.raises(ConvergenceError, match=r"x=-0\.9 .*n up to 512.*not flat"):
         apply_X(growing, cfg)(np.asarray(cfg.sample_grid))
 
 
