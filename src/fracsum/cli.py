@@ -29,9 +29,10 @@ import numpy as np
 from .core import SummationConfig, frac_power_with_error, fractional_sum_limit, power_fn, sum_log
 from .errors import ConvergenceError, DomainError, FracsumError
 from .operators import OperatorConfig
-from .specfun import TARGET_ABS_TOL, SpecFunConfig
+from .specfun import TARGET_ABS_TOL, SpecFunConfig, hurwitz_zeta
 from .spectrum import (
-    eigen_residual,
+    _numeric_defect,
+    _zeta_columns,
     find_critical_zeros,
     half_shift_norm,
     scan_columns,
@@ -354,25 +355,21 @@ def _cmd_verify(args, cfgs, diagnostics):
 def _cmd_zeros(args, cfgs, diagnostics):
     op_cfg, spec_cfg = cfgs
     zeros = find_critical_zeros(args.t_min, args.t_max, spec_cfg)
-    rows = []
-    for z in zeros:
-        rep = eigen_residual(0.5 + 1j * z.t, op_cfg, spec_cfg,
-                             include_numeric=args.numeric_residual)
-        rows.append({
-            "index": z.index,
-            "t": z.t,
-            "residual": z.residual,
-            "bracket_lo": z.bracket[0],
-            "bracket_hi": z.bracket[1],
-            "lambda_re": rep.lam.real,
-            "lambda_im": rep.lam.imag,
-            "lambda_is_real": rep.lambda_is_real,
-            "abs_zeta": abs(rep.zeta_s) if rep.zeta_s is not None else math.nan,
-            "analytic_residual": rep.analytic_residual,
-            "numeric_residual": rep.numeric_residual,
-            "boundary_f0_abs": abs(rep.boundary_f0),
-            "boundary_fhalf_abs": abs(rep.boundary_fhalf),
-        })
+    # one array pass with each point's eigen_residual bits: zeta(s) and the
+    # boundary values zeta(s) - zeta(s, x + 1) at x = 0, -1/2, one call per a
+    s = 0.5 + 1j * np.array([z.t for z in zeros])
+    zeta = hurwitz_zeta(s, 1.0, spec_cfg)
+    cols = _zeta_columns(s, zeta)
+    lam = cols["lam"]
+    f0, fhalf = zeta - zeta, zeta - hurwitz_zeta(s, 0.5, spec_cfg)
+    numeric = ([_numeric_defect(*p, op_cfg, spec_cfg)
+                for p in zip(s.tolist(), lam.tolist(), zeta.tolist())]
+               if args.numeric_residual else [math.nan] * len(zeros))
+    cols.update(lambda_re=lam.real, lambda_im=lam.imag, numeric_residual=np.array(numeric),
+                boundary_f0_abs=np.hypot(f0.real, f0.imag),
+                boundary_fhalf_abs=np.hypot(fhalf.real, fhalf.imag))
+    rows = [dict(zip(ZEROS_CSV_COLUMNS, (z.index, z.t, z.residual, *z.bracket, *rest)))
+            for z, rest in zip(zeros, zip(*(cols[k].tolist() for k in ZEROS_CSV_COLUMNS[5:])))]
     inputs = {"t_min": args.t_min, "t_max": args.t_max,
               "numeric_residual": bool(args.numeric_residual)}
     results = {"n_zeros": len(zeros), "zeros": rows}

@@ -215,8 +215,8 @@ def _power_rows(s: np.ndarray, logs: np.ndarray):
     multiplies them.  So each finite s keeps the bits of its own complex
     exp, signed zeros included.  The eighth keeps the tables, which live
     for the whole call, to at most a quarter of the terms of all the rows.
-    Other s (every Im differs, as on the Hardy-Z grid and in the bisection
-    rounds) take one complex exp a term.
+    Other s (every Im differs, as on the Hardy-Z grid and in the zero
+    search's rounds) take one complex exp a term.
     """
     def direct(rows):
         return np.exp(-s[rows, None] * logs)
@@ -488,7 +488,7 @@ def hardy_z(t, cfg: SpecFunConfig = DEFAULT_SPECFUN):
         raise DomainError("hardy_z requires t >= 0")
     theta = riemann_siegel_theta(ts)
     s = 0.5 + 1j * ts
-    # a single t (a bisection down to one bracket) takes the scalar kernel,
+    # a single t (a zero search down to one bracket) takes the scalar kernel,
     # which gives the same bits at a fraction of an array's overhead
     zeta = hurwitz_zeta(s if s.size != 1 else complex(s[0]), 1.0, cfg)
     value = _cmul(np.exp(1j * theta), zeta)

@@ -37,6 +37,7 @@ from .specfun import (
     _hurwitz_kernel,
     _tail_misses,
     hardy_z,
+    hurwitz_zeta,
     riemann_zeta,
 )
 
@@ -46,7 +47,7 @@ REALITY_TOL = 1e-9
 EIGEN_TOL = 1e-6
 
 _POLE_RADIUS = 1e-3
-_BISECT_WIDTH = 1e-9
+_ZERO_WIDTH = 1e-9
 _GRID_STEP = 0.05
 
 
@@ -116,19 +117,10 @@ def eigen_residual(s: complex, cfg: OperatorConfig = DEFAULT_OPERATOR,
     if s == 1:
         zeta_s = None
         analytic = 1.0
-        const_term = 1j * 1.0
     else:
         zeta_s = riemann_zeta(s, spec_cfg)
         analytic = abs((s - 1.0) * zeta_s)
-        const_term = 1j * (s - 1.0) * zeta_s
-
-    numeric = math.nan
-    if include_numeric:
-        f = frac_power_fn(s, spec_cfg)
-        rf = apply_R(f, cfg)
-        xs = np.asarray(cfg.sample_grid, dtype=float)
-        defect = rf(xs) - lam * f(xs) + const_term
-        numeric = float(np.abs(defect).max())
+    numeric = _numeric_defect(s, lam, zeta_s, cfg, spec_cfg) if include_numeric else math.nan
 
     lambda_is_real = abs(lam.imag) < REALITY_TOL
     # same test in the equivalent formulation; i*(2s-1) swaps components
@@ -147,24 +139,50 @@ def eigen_residual(s: complex, cfg: OperatorConfig = DEFAULT_OPERATOR,
     )
 
 
-def _bisect_zero(za: np.ndarray, a: np.ndarray, b: np.ndarray, cfg: SpecFunConfig,
-                 width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bisect the brackets [a, b], with Z(a) = za, in lock-step below ``width``.
+def _numeric_defect(s: complex, lam: complex, zeta_s: Optional[complex],
+                    cfg: OperatorConfig, spec_cfg: SpecFunConfig) -> float:
+    """EigenReport.numeric_residual at s, for lam and zeta_s as reported."""
+    const_term = 1j if zeta_s is None else 1j * (s - 1.0) * zeta_s
+    f = frac_power_fn(s, spec_cfg)
+    xs = np.asarray(cfg.sample_grid, dtype=float)
+    return float(np.abs(apply_R(f, cfg)(xs) - lam * f(xs) + const_term).max())
 
-    Each round is one hardy_z call on the midpoints of the brackets still
-    wider than ``width``, and each bracket takes the sign decisions it
-    would take alone.  Returns the final midpoints and bracket ends.
+
+def _zeta_columns(s: np.ndarray, zeta: np.ndarray) -> dict[str, np.ndarray]:
+    """|zeta|, |(s - 1) zeta|, lambda and lambda_is_real over the 1-D s from
+    zeta at each s, with the bits of abs(zeta), abs((s - 1.0) * zeta) and
+    eigenvalue_of(s): magnitudes are hypot, as abs of a Python complex is."""
+    prod = _cmul(s - 1.0, zeta)
+    lam = eigenvalue_of(s)
+    return {"s": s, "abs_zeta": np.hypot(zeta.real, zeta.imag),
+            "analytic_residual": np.hypot(prod.real, prod.imag), "lam": lam,
+            "lambda_is_real": np.abs(lam.imag) < REALITY_TOL}
+
+
+def _bisect_zero(za: np.ndarray, zb: np.ndarray, a: np.ndarray, b: np.ndarray,
+                 cfg: SpecFunConfig, width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Close the brackets [a, b] (Z(a) = za, Z(b) = zb of opposite signs)
+    below ``width`` in lock-step Illinois rounds (Dowell & Jarratt, BIT 11,
+    1971): each is one hardy_z call on the live brackets' regula-falsi
+    points, clamped width/4 inside (Dekker's step, so each closes below
+    width).  An end kept again has its Z halved; an exact zero closes its
+    bracket.  Each bracket decides as it would alone.  Returns the final
+    midpoints and ends.  The name, kept from bisection, is the tracer's.
     """
-    fa, a, b = (np.array(v, dtype=float) for v in (za, a, b))
-    while True:
-        live = np.flatnonzero(b - a > width)
+    fa, fb, a, b = (np.array(v, dtype=float) for v in (za, zb, a, b))
+    while True:  # b is each bracket's newest point, a its other end
+        live = np.flatnonzero(np.abs(b - a) > width)
         if not live.size:
-            return 0.5 * (a + b), a, b
-        mid = 0.5 * (a[live] + b[live])
-        fm = hardy_z(mid, cfg)
-        left = fa[live] * fm <= 0.0
-        b[live[left]] = mid[left]
-        a[live[~left]], fa[live[~left]] = mid[~left], fm[~left]
+            return 0.5 * (a + b), np.minimum(a, b), np.maximum(a, b)
+        a0, b0, fa0, fb0 = a[live], b[live], fa[live], fb[live]
+        c = np.clip(b0 - fb0 * (b0 - a0) / (fb0 - fa0), np.minimum(a0, b0) + width / 4,
+                    np.maximum(a0, b0) - width / 4)
+        fc = hardy_z(c, cfg)
+        kept = (fc < 0.0) == (fb0 < 0.0)  # c replaces b: a is kept again
+        fa[live[kept]] *= 0.5
+        a[live[~kept]], fa[live[~kept]] = b0[~kept], fb0[~kept]
+        b[live], fb[live] = c, fc
+        a[live[fc == 0.0]] = c[fc == 0.0]
 
 
 def find_critical_zeros(t_min: float, t_max: float,
@@ -173,12 +191,12 @@ def find_critical_zeros(t_min: float, t_max: float,
     """All zeros of zeta(1/2 + it) with t in (t_min, t_max), by Hardy Z.
 
     Samples Z on a grid of the given step in one hardy_z call, brackets
-    every sign change, and bisects all brackets in lock-step below 1e-9
-    width.  Sign changes give certified brackets, unlike |zeta|
-    minimisation which can graze a minimum; the 0.05 default step is well
-    below the minimal gap (~1.0) between consecutive zeros with t < 100, so
-    none is skipped.  Returns zeros in increasing t with consecutive
-    indices starting at 1; an empty range is a normal result, not an error.
+    every sign change, and closes all brackets in lock-step below 1e-9
+    width (``_bisect_zero``); t is the final bracket's midpoint.  Sign
+    changes give certified brackets, unlike |zeta| minimisation which can
+    graze a minimum; the 0.05 default step is well below the minimal gap
+    (~1.0) between consecutive zeros with t < 100, so none is skipped.
+    Returns zeros in increasing t, indexed from 1; an empty range is normal.
     """
     t_min, t_max = float(t_min), float(t_max)
     if not 0.0 <= t_min < t_max:
@@ -191,21 +209,16 @@ def find_critical_zeros(t_min: float, t_max: float,
         ts = np.append(ts, t_max)
     zvals = hardy_z(ts, cfg)
 
-    # a grid point exactly on a zero is the zero, with bracket (t, t); a
-    # strict sign change across a cell is bisected
+    # a grid point exactly on a zero is the zero, a bracket (t, t) that no
+    # round refines; a strict sign change across a cell is refined
     on_zero = zvals[:-1] == 0.0
-    change = ~on_zero & (zvals[:-1] * zvals[1:] < 0.0)
-    t, lo, hi = ts[:-1].copy(), ts[:-1].copy(), ts[:-1].copy()
-    t[change], lo[change], hi[change] = _bisect_zero(
-        zvals[:-1][change], ts[:-1][change], ts[1:][change], cfg, _BISECT_WIDTH)
-
-    zeros = []
-    for i in np.flatnonzero(on_zero | change):
-        ti = float(t[i])
-        residual = abs(riemann_zeta(0.5 + 1j * ti, cfg))
-        zeros.append(ZetaZero(index=len(zeros) + 1, t=ti, residual=residual,
-                              bracket=(float(lo[i]), float(hi[i]))))
-    return zeros
+    found = np.flatnonzero(on_zero | (zvals[:-1] * zvals[1:] < 0.0))
+    end = np.where(on_zero[found], found, found + 1)
+    t, lo, hi = _bisect_zero(zvals[found], zvals[end], ts[found], ts[end], cfg, _ZERO_WIDTH)
+    zeta = hurwitz_zeta(0.5 + 1j * t, 1.0, cfg)
+    residual = np.hypot(zeta.real, zeta.imag)
+    return [ZetaZero(k + 1, tk, r, (l, h)) for k, (tk, r, l, h) in enumerate(
+        zip(t.tolist(), residual.tolist(), lo.tolist(), hi.tolist()))]
 
 
 @dataclass(frozen=True)
@@ -259,9 +272,8 @@ def scan_columns(re_range: tuple[float, float], im_range: tuple[float, float],
     NaN estimate misses), or whose value is not finite, is flagged
     "error:ConvergenceError", exactly when riemann_zeta alone raises
     there.  Pole and failed cells have NaN |zeta| and residual.  There is
-    no fallback path.  Every cell keeps the bits of the scalar formulas
-    abs(riemann_zeta(s)), abs((s - 1.0) * zeta(s)) and eigenvalue_of(s):
-    magnitudes are hypot, as abs of a Python complex is.
+    no fallback path.  Every other cell keeps the bits of the scalar
+    formulas of ``_zeta_columns``, with zeta = riemann_zeta(s).
     """
     re0, re1 = float(re_range[0]), float(re_range[1])
     im0, im1 = float(im_range[0]), float(im_range[1])
@@ -283,18 +295,13 @@ def scan_columns(re_range: tuple[float, float], im_range: tuple[float, float],
     # (those are the pole, Re(s) <= -48 and sigma + 2M + 1 <= 0)
     zeta, each, _ = _hurwitz_kernel(s[off], 1.0, cfg)
     good = ~_tail_misses(each) & np.isfinite(zeta)
-    ok, zeta = off[good], zeta[good]
-    prod = _cmul(shifted[ok], zeta)
-    abs_zeta = np.full(s.size, math.nan)
-    abs_zeta[ok] = np.hypot(zeta.real, zeta.imag)
-    residual = np.full(s.size, math.nan)
-    residual[ok] = np.hypot(prod.real, prod.imag)
-    lam = eigenvalue_of(s)
+    ok = off[good]
+    values = np.full(s.size, math.nan, dtype=complex)
+    values[ok] = zeta[good]
     flag = np.full(s.size, "pole", dtype=object)
     flag[off] = "error:ConvergenceError"
     flag[ok] = "ok"
-    return {"s": s, "abs_zeta": abs_zeta, "analytic_residual": residual, "lam": lam,
-            "lambda_is_real": np.abs(lam.imag) < REALITY_TOL, "flag": flag}
+    return {**_zeta_columns(s, values), "flag": flag}
 
 
 def scan_s_plane(re_range: tuple[float, float], im_range: tuple[float, float],

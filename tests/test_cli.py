@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from fracsum import cli, core
-from fracsum.specfun import TARGET_ABS_TOL, hurwitz_zeta_with_error
+from fracsum import OperatorConfig, cli, core, eigen_residual
+from fracsum.specfun import TARGET_ABS_TOL, hurwitz_zeta, hurwitz_zeta_with_error
 from fracsum.cli import main, parse_complex, read_records_csv
 
 
@@ -252,11 +252,23 @@ def test_zeros_first_three(capsys, tmp_path):
         assert row["lambda_re"] == rec_row["lambda_re"]
 
 
-def test_zeros_empty_range(capsys):
-    code, rec = run_json(capsys, "zeros", "0", "10")
-    assert code == 0
-    assert rec["results"]["n_zeros"] == 0
-    assert rec["results"]["zeros"] == []
+def test_zeros_empty_range(capsys, monkeypatch):
+    # no zero below 10: the record's array pass runs on empty arrays, one
+    # Hurwitz call for each a, with the numeric defect or without
+    sizes = []
+
+    def counting(s, a, cfg):
+        sizes.append(np.size(s))
+        return hurwitz_zeta(s, a, cfg)
+
+    monkeypatch.setattr(cli, "hurwitz_zeta", counting)
+    for flags in ((), ("--numeric-residual",)):
+        sizes.clear()
+        code, rec = run_json(capsys, "zeros", "0", "10", *flags)
+        assert code == 0
+        assert rec["results"]["n_zeros"] == 0
+        assert rec["results"]["zeros"] == []
+        assert sizes == [0, 0]
 
 
 def test_zeros_bad_range_exit_2(capsys):
@@ -425,12 +437,17 @@ def test_global_flags_accepted_after_subcommand(capsys):
 
 
 def test_zeros_numeric_residual_flag(capsys):
-    # the nested operator pipeline at the first zero; slow path, narrow range
+    # the nested operator pipeline at the first zero; slow path, narrow range.
+    # The record's defect is the one eigen_residual reports for the CLI's
+    # strict configs, to the bit
     code, rec = run_json(capsys, "zeros", "14", "15", "--numeric-residual")
     assert code == 0
     row = rec["results"]["zeros"][0]
     assert not math.isnan(row["numeric_residual"])
     assert row["numeric_residual"] < 1e-3
+    strict = OperatorConfig(sum_cfg=core.SummationConfig(strict=True))
+    rep = eigen_residual(0.5 + 1j * row["t"], strict)
+    assert repr(row["numeric_residual"]) == repr(rep.numeric_residual)
 
 
 # ---------------------------------------------------- non-finite inputs

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -19,7 +20,7 @@ from fracsum import (
     riemann_zeta,
     scan_s_plane,
 )
-from fracsum import spectrum
+from fracsum import cli, spectrum
 from oracles import alt_series_zeta
 
 # classical ordinates, used only as coarse anchors (1e-6)
@@ -164,16 +165,58 @@ def test_zero_finder_covers_partial_final_cell():
     assert abs(zeros[0].t - T1) < 1e-6
 
 
-def test_lock_step_bisection_brackets_every_zero():
-    # all brackets are bisected together; each must still hold its zero, be
-    # at most 1e-9 wide and keep a sign change of Z across its ends
+def test_lock_step_refinement_brackets_every_zero(monkeypatch):
+    # all brackets are refined together; each must still hold its zero, be
+    # at most 1e-9 wide and keep a sign change of Z across its ends, and the
+    # whole search is the grid call and a few rounds
+    calls = []
+
+    def counting(t, cfg):
+        calls.append(np.size(t))
+        return hardy_z(t, cfg)
+
+    monkeypatch.setattr(spectrum, "hardy_z", counting)
     zeros = find_critical_zeros(0.0119, 100.0)
     assert len(zeros) == 29
+    assert len(calls) <= 7
     for z in zeros:
         lo, hi = z.bracket
         assert lo <= z.t <= hi
         assert hi - lo <= 1e-9
         assert hardy_z(lo) * hardy_z(hi) <= 0.0
+
+
+def test_refinement_gives_each_bracket_its_own_bits():
+    # the grid cells of the search over (0.0119, 100) that hold a sign
+    # change, refined together and one by one
+    ts = 0.0119 + 0.05 * np.arange(2000)
+    z = hardy_z(ts)
+    cell = np.flatnonzero(z[:-1] * z[1:] < 0.0)
+    assert cell.size == 29
+    together = spectrum._bisect_zero(z[cell], z[cell + 1], ts[cell], ts[cell + 1],
+                                     spectrum.DEFAULT_SPECFUN, 1e-9)
+    for k, i in enumerate(cell):
+        alone = spectrum._bisect_zero(z[[i]], z[[i + 1]], ts[[i]], ts[[i + 1]],
+                                      spectrum.DEFAULT_SPECFUN, 1e-9)
+        assert [v[k:k + 1].tobytes() for v in together] == [v.tobytes() for v in alone]
+
+
+def test_zeros_record_keeps_eigen_residual_bits(capsys):
+    # the zeros command computes its columns in one array pass; at every
+    # zero below 100 each must have the bits of the scalar formulas
+    assert cli.main(["zeros", "0", "100", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]["zeros"]
+    assert len(rows) == 29
+    for row in rows:
+        s = 0.5 + 1j * row["t"]
+        rep = eigen_residual(s, include_numeric=False)
+        want = (abs(riemann_zeta(s)), abs(riemann_zeta(s)), rep.lam.real, rep.lam.imag,
+                rep.lambda_is_real, rep.analytic_residual, rep.numeric_residual,
+                abs(rep.boundary_f0), abs(rep.boundary_fhalf))
+        got = tuple(row[k] for k in (
+            "residual", "abs_zeta", "lambda_re", "lambda_im", "lambda_is_real",
+            "analytic_residual", "numeric_residual", "boundary_f0_abs", "boundary_fhalf_abs"))
+        assert repr(got) == repr(want), row["t"]
 
 
 def test_zero_finder_exact_grid_zero_and_partial_cell(monkeypatch):
