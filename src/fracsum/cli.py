@@ -22,7 +22,6 @@ import math
 import sys
 import time
 from dataclasses import asdict, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -75,14 +74,11 @@ def format_complex(z: complex) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
-_LEAF_TYPES = (str, int, float, bool, type(None))
 _encode_leaf = json.JSONEncoder().encode
-
-
-@lru_cache(maxsize=None)
-def _flat_encoder(inner: str):
-    # json's C encoder, whose item separator lays out a flat dict's items
-    return json.JSONEncoder(separators=(",\n" + inner, ": ")).encode
+# json writes this string as a quote and then a backslash, which never
+# follows a closing quote; so its text shows up in json's output only where
+# a string equals it
+_ROWS_MARK = "\0fracsum rows\0"
 
 
 class _Rows:
@@ -154,39 +150,31 @@ def _rows_parts(rows: _Rows, out: list, pad: str) -> None:
     out.append("\n" + pad + "]")
 
 
-def _json_parts(value, out: list, pad: str = "") -> None:
+def _json_parts(value, out: list) -> None:
     """Append the text of json.dumps(value, indent=2) to out, in pieces.
 
-    A complex is written as {"re", "im"}, and _Rows as its list of row
-    dicts.  A dict whose values are all plain leaves is one call of json's
-    C encoder; other leaves are json's own scalars, so anything json
-    cannot encode raises its TypeError.
+    A complex is written as {"re", "im"}, and each _Rows as its list of row
+    dicts by _rows_parts, spliced in where json wrote _ROWS_MARK.  Anything
+    else json cannot encode raises its TypeError.
     """
-    inner = pad + "  "
-    if isinstance(value, _Rows):
-        _rows_parts(value, out, pad)
-        return
-    if isinstance(value, complex):
-        value = {"re": value.real, "im": value.imag}
-    if isinstance(value, dict) and value:
-        if all(type(v) in _LEAF_TYPES for v in value.values()):
-            out.append("{\n" + inner + _flat_encoder(inner)(value)[1:-1] + "\n" + pad + "}")
-            return
-        # json writes a non-str key as the string of its own encoding
-        items = [(_encode_leaf(k if isinstance(k, str) else _encode_leaf(k)) + ": ", v)
-                 for k, v in value.items()]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)) and value:
-        items, brackets = [("", v) for v in value], "[]"
-    else:
-        out.append(_encode_leaf(value))
-        return
-    sep = brackets[0] + "\n" + inner
-    for head, item in items:
-        out.append(sep + head)
-        _json_parts(item, out, inner)
-        sep = ",\n" + inner
-    out.append("\n" + pad + brackets[1])
+    tables = []
+
+    def plain(v):
+        if isinstance(v, complex):
+            return {"re": v.real, "im": v.imag}
+        if isinstance(v, _Rows):
+            tables.append(v)
+            return _ROWS_MARK
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+    pieces = json.dumps(value, indent=2, default=plain).split(_encode_leaf(_ROWS_MARK))
+    if len(pieces) != len(tables) + 1:
+        raise ValueError("a string in the value equals the row-table mark")
+    out.append(pieces[0])
+    for rows, before, after in zip(tables, pieces, pieces[1:]):
+        line = before.rpartition("\n")[2]
+        _rows_parts(rows, out, line[:len(line) - len(line.lstrip(" "))])
+        out.append(after)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,10 +415,9 @@ _HANDLERS = {
 
 def _emit(record: dict, fmt: str) -> None:
     if fmt == "json":
-        # the bytes of print(json.dumps(record, indent=2)), written in
-        # chunks: the whole text never exists as one string, yet an
-        # unbuffered stdout sees few writes; a value json cannot encode
-        # raises before anything is written
+        # the bytes of print(json.dumps(record, indent=2)), written a few
+        # thousand pieces at a time so that an unbuffered stdout sees few
+        # writes; a value json cannot encode raises before any is written
         parts: list[str] = []
         _json_parts(record, parts)
         parts.append("\n")

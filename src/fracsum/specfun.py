@@ -274,6 +274,8 @@ def _hurwitz_kernel(s, a, cfg: SpecFunConfig):
         s = np.asarray(s, dtype=complex)
         if s.ndim != 1 or np.ndim(a) != 0:
             raise DomainError("an array of s needs a 1-D s and a scalar a")
+        if s.size == 1:  # the scalar arithmetic: the same bits, at a fraction of the cost
+            return tuple(np.array([v]) for v in _hurwitz_kernel(complex(s[0]), a, cfg))
         pole, re_min = bool(np.any(s == 1)), float(s.real.min(initial=math.inf))
     else:
         s = complex(s)
@@ -421,12 +423,17 @@ def digamma(z):
     if np.any(on_pole):
         raise PoleError("digamma has poles at non-positive integers")
     work, acc = _upward(arr, lambda w: 1.0 / w)
-    out = np.log(work) - 0.5 / work
-    w2 = work * work
-    wpow = w2.copy()
-    for j in range(1, 9):
-        out -= _BERNOULLI[2 * j] / (2 * j * wpow)
-        wpow *= w2
+    head = np.log(work) - 0.5 / work
+    out = head.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2 = work * work
+        wpow = w2.copy()
+        for j in range(1, 9):
+            out -= _BERNOULLI[2 * j] / (2 * j * wpow)
+            wpow *= w2
+    # the terms fail only where a power they use overflows, at |w| > 1e19;
+    # there each is below 1e-39 of head, so dropping them all is exact
+    np.copyto(out, head, where=~np.isfinite(out))
     out += acc
     _require_finite(out, "digamma")
     return complex(out[0]) if scalar else out
@@ -445,13 +452,16 @@ def log_gamma(z):
     if np.any(arr.real <= 0.0):
         raise DomainError("log_gamma requires Re(z) > 0")
     work, acc = _upward(arr, np.log)
-    lw = np.log(work)
-    out = (work - 0.5) * lw - work + 0.5 * math.log(_TWO_PI)
-    w2 = work * work
-    wpow = work.copy()
-    for j in range(1, 9):
-        out += _BERNOULLI[2 * j] / ((2 * j) * (2 * j - 1) * wpow)
-        wpow *= w2
+    head = (work - 0.5) * np.log(work) - work + 0.5 * math.log(_TWO_PI)
+    out = head.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2 = work * work
+        wpow = work.copy()
+        for j in range(1, 9):
+            out += _BERNOULLI[2 * j] / ((2 * j) * (2 * j - 1) * wpow)
+            wpow *= w2
+    # as in digamma: where a power overflowed, the terms are below 1e-39 of head
+    np.copyto(out, head, where=~np.isfinite(out))
     out += acc
     _require_finite(out, "log_gamma")
     return complex(out[0]) if scalar else out
@@ -488,9 +498,7 @@ def hardy_z(t, cfg: SpecFunConfig = DEFAULT_SPECFUN):
         raise DomainError("hardy_z requires t >= 0")
     theta = riemann_siegel_theta(ts)
     s = 0.5 + 1j * ts
-    # a single t (a zero search down to one bracket) takes the scalar kernel,
-    # which gives the same bits at a fraction of an array's overhead
-    zeta = hurwitz_zeta(s if s.size != 1 else complex(s[0]), 1.0, cfg)
+    zeta = hurwitz_zeta(s, 1.0, cfg)
     value = _cmul(np.exp(1j * theta), zeta)
     off = np.flatnonzero(np.abs(value.imag) >= 1e-9)
     if off.size:

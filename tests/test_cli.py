@@ -79,6 +79,20 @@ def test_eval_sumlog(capsys):
     assert abs(rec["results"]["value"]["re"] - (-0.1207822376352452)) < 1e-10
 
 
+def test_eval_at_large_x(capsys):
+    # log Gamma(x + 1) and the harmonic number Psi(x + 1) + gamma at an x
+    # where the Stirling series' powers of x overflow
+    from scipy.special import digamma
+    code, rec = run_json(capsys, "eval", "sumlog", "--x", "1e21")
+    assert code == 0
+    expect = math.lgamma(1e21 + 1)
+    assert abs(rec["results"]["value"]["re"] - expect) <= 1e-15 * expect
+    code, rec = run_json(capsys, "eval", "fracpow", "--x", "1e21", "--s", "1")
+    assert code == 0
+    expect = digamma(1e21 + 1) + 0.5772156649015329
+    assert abs(rec["results"]["value"]["re"] - expect) <= 1e-15 * expect
+
+
 @pytest.mark.filterwarnings("ignore::fracsum.CancellationWarning")
 @pytest.mark.parametrize("s,on_digamma", [
     ("1", True), ("1.000000005", True), ("1.00000002", False), ("2+3i", False),
@@ -529,6 +543,19 @@ def test_json_writer_on_rows(n):
     assert repr(list(rows)) == repr(table)  # repr: NaN fields, and -0.0 apart from 0.0
     assert to_json(rows) == json.dumps(table, indent=2)
     assert to_json({"cells": rows}) == json.dumps({"cells": table}, indent=2)
+    # a table two levels deep beside complex values, and two in one value
+    assert to_json({"results": {"z": 1j, "cells": rows}}) == json.dumps(
+        {"results": {"z": 1j, "cells": table}}, indent=2, default=_complex_json)
+    assert to_json([rows, rows]) == json.dumps([table, table], indent=2)
+
+
+def test_json_writer_refuses_a_string_equal_to_its_mark():
+    rows = cli._Rows(("x",), [np.array([0.5])])
+    for value in ({"note": cli._ROWS_MARK, "cells": rows}, {cli._ROWS_MARK: rows}):
+        parts = []
+        with pytest.raises(ValueError):
+            cli._json_parts(value, parts)
+        assert parts == []
 
 
 def test_json_writer_refuses_a_row_column_mixing_str():
@@ -554,6 +581,17 @@ def test_json_writer_on_scan_record(capsys):
         assert [c["flags"] for c in cells].count(flag) == count
         assert out == json.dumps(record, indent=2) + "\n"
     assert 2501 > cli._ROWS_BLOCK and 2501 % cli._ROWS_BLOCK
+    # every other record kind; zeros 0 10 has an empty list of zeros, and
+    # the last run fails
+    for argv, want in [
+        (("zeros", "0", "10"), 0), (("zeros", "13.7", "14.6"), 0), (("verify", "lemmas"), 0),
+        (("eval", "sigma", "--x", "2.5", "--s", "0.5+14i"), 0),
+        (("norm", "--s", "0.75", "--T", "400"), 0),
+        (("eval", "fracpow", "--x", "-2", "--s", "2+0i"), 2),
+    ]:
+        code, out = run_cli(capsys, "--format", "json", *argv)
+        assert code == want
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_scan_csv_reads_back_as_json_cells(capsys, tmp_path):

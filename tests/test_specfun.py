@@ -184,6 +184,24 @@ def test_hurwitz_empty_arrays_give_empty_results():
         assert hurwitz_zeta(s, a).shape == (0,)
 
 
+def test_hurwitz_one_point_array_takes_the_scalar_arithmetic(monkeypatch):
+    # no array product (_cmul) for one s, and the scalar call's bits; the
+    # kernel still answers in arrays, and still refuses a pole and a bad a
+    calls = []
+    cmul = specfun._cmul
+    monkeypatch.setattr(specfun, "_cmul", lambda x, y: calls.append(1) or cmul(x, y))
+    s = 0.5 + 14.1347j
+    one = hurwitz_zeta(np.array([s]), 1.0)
+    assert calls == []
+    assert one.shape == (1,) and one.tobytes() == np.array([hurwitz_zeta(s, 1.0)]).tobytes()
+    value, each, rounding = specfun._hurwitz_kernel(np.array([s]), 1.0, specfun.DEFAULT_SPECFUN)
+    assert value.shape == each.shape == rounding.shape == (1,)
+    with pytest.raises(PoleError):
+        hurwitz_zeta(np.array([1.0 + 0j]), 1.0)
+    with pytest.raises(DomainError):
+        hurwitz_zeta(np.array([s]), -1.5)
+
+
 def test_hurwitz_rejects_pole_and_bad_a():
     with pytest.raises(PoleError):
         hurwitz_zeta(1.0, 1.0)
@@ -300,6 +318,15 @@ def test_digamma_at_half_series_oracle():
 def test_digamma_recurrence(re, im):
     z = complex(re, im)
     assert abs(digamma(z + 1.0) - digamma(z) - 1.0 / z) < 1e-11
+
+
+def test_digamma_and_log_gamma_at_large_arguments():
+    # past |z| ~ 1e19 the series' powers of z overflow; their terms are then
+    # far below the last bit, and the value is the series' head alone
+    from scipy.special import digamma as scipy_digamma
+    for x in (1e21, 1e300):
+        assert abs(digamma(x) - scipy_digamma(x)) <= 1e-15 * scipy_digamma(x)
+        assert abs(log_gamma(x) - math.lgamma(x)) <= 1e-15 * math.lgamma(x)
 
 
 def test_digamma_pole():
