@@ -18,24 +18,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, replace
 
 import numpy as np
 
-from .core import SummationConfig, frac_power_with_error, fractional_sum_limit, power_fn, sum_log
+from .core import (SummationConfig, frac_power_with_error, fractional_sum_limit, power_fn,
+                   sum_log_with_error)
 from .errors import ConvergenceError, DomainError, FracsumError
 from .operators import OperatorConfig
-from .specfun import TARGET_ABS_TOL, SpecFunConfig, hurwitz_zeta
-from .spectrum import (
-    _numeric_defect,
-    _zeta_columns,
-    find_critical_zeros,
-    half_shift_norm,
-    scan_columns,
-)
+from .specfun import SpecFunConfig
+from .spectrum import eigen_columns, find_critical_zeros, half_shift_norm, scan_columns
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -294,9 +288,8 @@ def _cmd_eval(args, cfgs, diagnostics):
     x = float(args.x)
     inputs = {"expr": args.expr, "x": x}
     if args.expr == "sumlog":
-        value = complex(sum_log(x))
-        results = {"value": value, "err_estimate": TARGET_ABS_TOL,
-                   "method": "log_gamma"}
+        value, err = sum_log_with_error(x)
+        results = {"value": value, "err_estimate": err, "method": "log_gamma"}
         return inputs, results, EXIT_OK
     if args.s is None:
         raise DomainError(f"eval {args.expr} requires --s")
@@ -343,19 +336,8 @@ def _cmd_verify(args, cfgs, diagnostics):
 def _cmd_zeros(args, cfgs, diagnostics):
     op_cfg, spec_cfg = cfgs
     zeros = find_critical_zeros(args.t_min, args.t_max, spec_cfg)
-    # one array pass with each point's eigen_residual bits: zeta(s) and the
-    # boundary values zeta(s) - zeta(s, x + 1) at x = 0, -1/2, one call per a
-    s = 0.5 + 1j * np.array([z.t for z in zeros])
-    zeta = hurwitz_zeta(s, 1.0, spec_cfg)
-    cols = _zeta_columns(s, zeta)
-    lam = cols["lam"]
-    f0, fhalf = zeta - zeta, zeta - hurwitz_zeta(s, 0.5, spec_cfg)
-    numeric = ([_numeric_defect(*p, op_cfg, spec_cfg)
-                for p in zip(s.tolist(), lam.tolist(), zeta.tolist())]
-               if args.numeric_residual else [math.nan] * len(zeros))
-    cols.update(lambda_re=lam.real, lambda_im=lam.imag, numeric_residual=np.array(numeric),
-                boundary_f0_abs=np.hypot(f0.real, f0.imag),
-                boundary_fhalf_abs=np.hypot(fhalf.real, fhalf.imag))
+    cols = eigen_columns([z.t for z in zeros], op_cfg, spec_cfg, args.numeric_residual)
+    cols.update(lambda_re=cols["lam"].real, lambda_im=cols["lam"].imag)
     rows = [dict(zip(ZEROS_CSV_COLUMNS, (z.index, z.t, z.residual, *z.bracket, *rest)))
             for z, rest in zip(zeros, zip(*(cols[k].tolist() for k in ZEROS_CSV_COLUMNS[5:])))]
     inputs = {"t_min": args.t_min, "t_max": args.t_max,

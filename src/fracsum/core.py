@@ -62,11 +62,13 @@ import numpy as np
 from .errors import CancellationWarning, ConvergenceError, DomainError, OutOfRangeError
 from .specfun import (
     DEFAULT_SPECFUN,
+    LOG_GAMMA_ULPS,
     TARGET_ABS_TOL,
     SpecFunConfig,
+    _as_1d,
+    _riemann_zeta_cached,
     digamma,
     euler_gamma,
-    hurwitz_zeta,
     hurwitz_zeta_with_error,
     log_gamma,
     riemann_zeta,
@@ -91,7 +93,7 @@ class EvalFn:
     one-point array and the caller gets its element back.
     ``analytic_derivative``, when present, takes the same arrays and is
     held to the testable contract of matching Richardson-improved central
-    differences (step 1e-5) to 1e-6 at interior points.
+    differences (step 3e-4) to 1e-6 at interior points.
     """
 
     domain_lo: float
@@ -141,10 +143,14 @@ def log_fn() -> EvalFn:
     return EvalFn(0.0, np.log, lambda x: 1.0 / x, label="log")
 
 
-def _finite_s(s: complex, who: str) -> complex:
+def _finite_s(s: complex, who: str, re_above: Optional[float] = None) -> complex:
+    """s as a complex, checked finite and, when re_above is given, to have
+    Re(s) > re_above; the messages name ``who``."""
     s = complex(s)
     if not cmath.isfinite(s):
         raise DomainError(f"{who} requires a finite s, got {s}")
+    if re_above is not None and s.real <= re_above:
+        raise DomainError(f"{who} requires Re(s) > {re_above:g}, got {s}")
     return s
 
 
@@ -530,43 +536,35 @@ _S_ONE_EXACT = 1e-8   # at |s-1| below this, switch to the digamma branch
 _S_ONE_WARN = 1e-3    # below this, zeta(s) - zeta(s, x+1) cancels two poles
 
 
-def frac_power(x, s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN):
-    """The fractional generalized harmonic sum x^[-s] = sum_{v=1}^{x} v^(-s).
+def frac_power_with_error(x, s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN):
+    """``(x^[-s], bound)`` for the fractional generalized harmonic sum
+    x^[-s] = sum_{v=1}^{x} v^(-s), x > -1, Re(s) > -1, scalar or array x.
 
     Closed forms: zeta(s) - zeta(s, x+1) for s != 1, and gamma + Psi(x+1)
-    at s = 1 (taken when |s-1| < _S_ONE_EXACT).  Defined for x > -1,
-    Re(s) > -1.  Accepts scalar or array x.
+    at s = 1 (taken when |s-1| < _S_ONE_EXACT).  The bound is one float:
+    TARGET_ABS_TOL on the digamma branch, else the sum of the bounds of
+    zeta(s) (cached with it) and of the one Hurwitz call at x + 1.
     """
-    s = _finite_s(s, "frac_power")
-    if s.real <= -1.0:
-        raise DomainError(f"frac_power requires Re(s) > -1, got {s}")
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    work = np.atleast_1d(arr)
+    s = _finite_s(s, "frac_power", -1.0)
+    work, back = _as_1d(x, float)
     if work.size and not np.all(work > -1.0):
         raise DomainError(f"frac_power requires x > -1, got min {work.min()}")
     if abs(s - 1.0) < _S_ONE_EXACT:
-        out = euler_gamma() + digamma(work + 1.0)
-    else:
-        if abs(s - 1.0) < _S_ONE_WARN:
-            warnings.warn(
-                f"frac_power at s={s}: zeta(s) - zeta(s, x+1) cancels two "
-                "near-poles; expect digit loss",
-                CancellationWarning, stacklevel=2,
-            )
-        out = riemann_zeta(s, cfg) - hurwitz_zeta(s, work + 1.0, cfg)
-    return complex(out[0]) if scalar else out
+        return back(euler_gamma() + digamma(work + 1.0)), TARGET_ABS_TOL
+    if abs(s - 1.0) < _S_ONE_WARN:
+        warnings.warn(
+            f"frac_power at s={s}: zeta(s) - zeta(s, x+1) cancels two "
+            "near-poles; expect digit loss",
+            CancellationWarning, stacklevel=2,
+        )
+    zeta_s = riemann_zeta(s, cfg)  # the entry perfbench counts; the cache holds its bound
+    tail, bound = hurwitz_zeta_with_error(s, work + 1.0, cfg)
+    return back(zeta_s - tail), _riemann_zeta_cached(s, cfg)[1] + bound
 
 
-def frac_power_with_error(x, s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN):
-    """``(frac_power(x, s), bound)``: the bound is TARGET_ABS_TOL on the
-    digamma branch, else the sum of the two Hurwitz bounds."""
-    value = frac_power(x, s, cfg)
-    s = complex(s)
-    if abs(s - 1.0) < _S_ONE_EXACT:
-        return value, TARGET_ABS_TOL
-    return value, (hurwitz_zeta_with_error(s, 1.0, cfg)[1]
-                   + hurwitz_zeta_with_error(s, np.asarray(x, dtype=float) + 1.0, cfg)[1])
+def frac_power(x, s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN):
+    """x^[-s], the value of ``frac_power_with_error``."""
+    return frac_power_with_error(x, s, cfg)[0]
 
 
 def frac_power_derivative(x, s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN):
@@ -575,41 +573,34 @@ def frac_power_derivative(x, s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     At s = 0 both terms carry the factor s and the expression returns 0;
     the derivative contract covers s != 0 only.
     """
-    s = _finite_s(s, "frac_power_derivative")
-    if s.real <= -1.0:
-        raise DomainError(f"frac_power_derivative requires Re(s) > -1, got {s}")
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    work = np.atleast_1d(arr)
+    s = _finite_s(s, "frac_power_derivative", -1.0)
+    work, back = _as_1d(x, float)
     if work.size and not np.all(work > -1.0):
         raise DomainError("frac_power_derivative requires x > -1")
     if s == 0:
-        out = np.zeros(work.shape, dtype=complex)
-    else:
-        out = -s * frac_power(work, s + 1.0, cfg) + s * riemann_zeta(1.0 + s, cfg)
-    return complex(out[0]) if scalar else out
+        return back(np.zeros(work.shape, dtype=complex))
+    return back(-s * frac_power(work, s + 1.0, cfg) + s * riemann_zeta(1.0 + s, cfg))
 
 
 def frac_power_fn(s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN) -> EvalFn:
     """x^[-s] wrapped as an EvalFn on (-1, inf) with its analytic derivative."""
-    s = _finite_s(s, "frac_power_fn")
-    if s.real <= -1.0:
-        raise DomainError(f"frac_power_fn requires Re(s) > -1, got {s}")
-    return EvalFn(
-        -1.0,
-        lambda x: frac_power(x, s, cfg),
-        lambda x: frac_power_derivative(x, s, cfg),
-        label=f"x^[-({s})]",
-    )
+    s = _finite_s(s, "frac_power_fn", -1.0)
+    return EvalFn(-1.0, lambda x: frac_power(x, s, cfg),
+                  lambda x: frac_power_derivative(x, s, cfg), label=f"x^[-({s})]")
 
 
-def sum_log(x):
-    """sum_{v=1}^{x} log v = log Gamma(x+1) for x > -1 (scalar or array)."""
-    arr = np.asarray(x, dtype=float)
-    work = np.atleast_1d(arr)
+def sum_log_with_error(x):
+    """``(value, bound)`` for sum_{v=1}^{x} log v = log Gamma(x+1), x > -1,
+    scalar or array: log_gamma's bound at the largest |value|."""
+    work, back = _as_1d(x, float)
     if work.size and not np.all(work > -1.0):
         raise DomainError("sum_log requires x > -1")
     if work.size and not np.all(work < math.inf):
         raise DomainError("sum_log requires a finite x")
-    out = log_gamma(work + 1.0)
-    return complex(out[0]) if arr.ndim == 0 else out
+    value = log_gamma(work + 1.0)
+    return back(value), TARGET_ABS_TOL + LOG_GAMMA_ULPS * _EPS * float(abs(value).max(initial=0.0))
+
+
+def sum_log(x):
+    """sum_{v=1}^{x} log v, the value of ``sum_log_with_error``."""
+    return sum_log_with_error(x)[0]

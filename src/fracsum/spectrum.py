@@ -25,7 +25,7 @@ from .core import (
     const_fn,
     frac_power,
     frac_power_fn,
-    half_difference,
+    frac_power_with_error,
     linear_combination,
 )
 from .errors import DomainError, PoleError
@@ -49,6 +49,8 @@ EIGEN_TOL = 1e-6
 _POLE_RADIUS = 1e-3
 _ZERO_WIDTH = 1e-9
 _GRID_STEP = 0.05
+#: least ratio of each half-shift norm fit sample to the bound on its error
+_FIT_RESOLUTION = 10.0
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,25 @@ def _numeric_defect(s: complex, lam: complex, zeta_s: Optional[complex],
     f = frac_power_fn(s, spec_cfg)
     xs = np.asarray(cfg.sample_grid, dtype=float)
     return float(np.abs(apply_R(f, cfg)(xs) - lam * f(xs) + const_term).max())
+
+
+def eigen_columns(t, cfg: OperatorConfig = DEFAULT_OPERATOR,
+                  spec_cfg: SpecFunConfig = DEFAULT_SPECFUN,
+                  include_numeric: bool = False) -> dict[str, np.ndarray]:
+    """``eigen_residual``'s figures at s = 1/2 + it over the 1-D t, with its
+    bits, from one Hurwitz call per a: the columns of ``_zeta_columns``,
+    numeric_residual (NaN unless include_numeric), and boundary_f0_abs and
+    boundary_fhalf_abs, |x^[-s]| = |zeta(s) - zeta(s, x + 1)| at x = 0, -1/2."""
+    s = 0.5 + 1j * np.asarray(t, dtype=float)
+    zeta = hurwitz_zeta(s, 1.0, spec_cfg)
+    cols = _zeta_columns(s, zeta)
+    f0, fhalf = zeta - zeta, zeta - hurwitz_zeta(s, 0.5, spec_cfg)
+    numeric = ([_numeric_defect(*p, cfg, spec_cfg)
+                for p in zip(s.tolist(), cols["lam"].tolist(), zeta.tolist())]
+               if include_numeric else [math.nan] * s.size)
+    return {**cols, "numeric_residual": np.array(numeric),
+            "boundary_f0_abs": np.hypot(f0.real, f0.imag),
+            "boundary_fhalf_abs": np.hypot(fhalf.real, fhalf.imag)}
 
 
 def _zeta_columns(s: np.ndarray, zeta: np.ndarray) -> dict[str, np.ndarray]:
@@ -332,7 +353,9 @@ def half_shift_norm(s: complex, T: float, quad_points: int = 4000,
     [2,4], ... up to T) since the integrand's structure concentrates near 0.
     Because D_half x^[-s] behaves like (1/2) x^(-s) for large x, the
     integrand's log-log slope on [T/4, T] estimates -2 Re(s): the norm can
-    only be finite (as T grows) when Re(s) > 1/2.
+    only be finite (as T grows) when Re(s) > 1/2.  D_half x^[-s] falls into
+    the rounding of x^[-s] as T grows: DomainError where a fit sample is
+    below _FIT_RESOLUTION times the bound on its error.
     """
     s = complex(s)
     if s.real <= 0.0:
@@ -345,10 +368,17 @@ def half_shift_norm(s: complex, T: float, quad_points: int = 4000,
     if quad_points < 1000:
         raise DomainError("quad_points must be >= 1000")
 
-    diff = half_difference(frac_power_fn(s, cfg))
+    def half_diff(x):  # |D_half x^[-s]| as half_difference forms it, and its bound
+        values, bound = frac_power_with_error(np.concatenate([x, x - 0.5]), s, cfg)
+        return np.abs(values[:x.size] - values[x.size:]), 2.0 * bound
 
-    def integrand(x):
-        return np.abs(diff(x)) ** 2
+    fit_x = np.exp(np.linspace(math.log(T / 4.0), math.log(T), 48))
+    fit_d, err = half_diff(fit_x)
+    if not fit_d.min() >= _FIT_RESOLUTION * err:  # NaN is not resolved
+        raise DomainError(
+            f"T = {T:g} is too large for s = {s}: D_half x^[-s] falls to "
+            f"{fit_d.min():.3g} on [T/4, T], below {_FIT_RESOLUTION:g} times its "
+            f"error bound {err:.3g}; take a smaller T")
 
     edges = [0.0, 1.0]
     while edges[-1] < T:
@@ -361,11 +391,9 @@ def half_shift_norm(s: complex, T: float, quad_points: int = 4000,
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         xs = np.linspace(lo, hi, per_panel + 1)
-        ys = integrand(xs)  # integrand is smooth on [0, T]; domain is (-1/2, inf)
+        ys = half_diff(xs)[0] ** 2  # smooth on [0, T]; D_half x^[-s] is defined on (-1/2, inf)
         step = (hi - lo) / per_panel
         total += step / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum())
 
-    fit_x = np.exp(np.linspace(math.log(T / 4.0), math.log(T), 48))
-    fit_y = integrand(fit_x)
-    slope = float(np.polyfit(np.log(fit_x), np.log(fit_y), 1)[0])
+    slope = float(np.polyfit(np.log(fit_x), np.log(fit_d ** 2), 1)[0])
     return HalfShiftNorm(float(total), slope)

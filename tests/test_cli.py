@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fracsum import OperatorConfig, cli, core, eigen_residual
+from fracsum import OperatorConfig, cli, core, eigen_residual, specfun, spectrum
 from fracsum.specfun import TARGET_ABS_TOL, hurwitz_zeta, hurwitz_zeta_with_error
 from fracsum.cli import main, parse_complex, read_records_csv
 
@@ -91,6 +91,37 @@ def test_eval_at_large_x(capsys):
     assert code == 0
     expect = digamma(1e21 + 1) + 0.5772156649015329
     assert abs(rec["results"]["value"]["re"] - expect) <= 1e-15 * expect
+
+
+@pytest.mark.parametrize("x", [0.5, 2e3, 1e5, 1e21])
+def test_eval_sumlog_err_estimate_holds_the_rounding(capsys, x):
+    # one ulp of the value is 2.3e-10 at x = 1e5 and 8.4e6 at x = 1e21, far
+    # above the series' own TARGET_ABS_TOL; the bound must cover both
+    code, rec = run_json(capsys, "eval", "sumlog", "--x", repr(x))
+    assert code == 0
+    res = rec["results"]
+    assert abs(res["value"]["re"] - math.lgamma(x + 1.0)) <= res["err_estimate"]
+    assert res["err_estimate"] < 1e-12 + 1e-15 * abs(res["value"]["re"])
+
+
+def test_kernel_calls_per_command(capsys, monkeypatch):
+    # eval fracpow takes x^[-s] and its bound from one Hurwitz kernel call
+    # per a; the zeros record takes its columns in one array pass per a
+    calls = []
+    kernel = specfun._hurwitz_kernel
+
+    def counting(*args):
+        calls.append(args[0])
+        return kernel(*args)
+
+    monkeypatch.setattr(specfun, "_hurwitz_kernel", counting)
+    for argv, want in ((("eval", "fracpow", "--x", "0.5", "--s", "0.5+14i"), 2),
+                       (("zeros", "0", "100"), 9)):
+        specfun._riemann_zeta_cached.cache_clear()
+        calls.clear()
+        code, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert len(calls) == want, argv
 
 
 @pytest.mark.filterwarnings("ignore::fracsum.CancellationWarning")
@@ -267,22 +298,23 @@ def test_zeros_first_three(capsys, tmp_path):
 
 
 def test_zeros_empty_range(capsys, monkeypatch):
-    # no zero below 10: the record's array pass runs on empty arrays, one
-    # Hurwitz call for each a, with the numeric defect or without
+    # no zero below 10: the zero search's residuals and the record's array
+    # pass run on empty arrays, one Hurwitz call for each a of the pass, with
+    # the numeric defect or without
     sizes = []
 
     def counting(s, a, cfg):
         sizes.append(np.size(s))
         return hurwitz_zeta(s, a, cfg)
 
-    monkeypatch.setattr(cli, "hurwitz_zeta", counting)
+    monkeypatch.setattr(spectrum, "hurwitz_zeta", counting)
     for flags in ((), ("--numeric-residual",)):
         sizes.clear()
         code, rec = run_json(capsys, "zeros", "0", "10", *flags)
         assert code == 0
         assert rec["results"]["n_zeros"] == 0
         assert rec["results"]["zeros"] == []
-        assert sizes == [0, 0]
+        assert sizes == [0, 0, 0]
 
 
 def test_zeros_bad_range_exit_2(capsys):
@@ -377,6 +409,17 @@ def test_norm_steep_decay(capsys):
     code, rec = run_json(capsys, "norm", "--s", "2", "--T", "200")
     assert code == 0
     assert abs(rec["results"]["decay_exponent"] - (-4.0)) < 0.2
+
+
+@pytest.mark.parametrize("s,T", [("2", "1e8"), ("0.75", "1e14"), ("0.75", "1e16")])
+def test_norm_unresolved_tail_fit_exit_2(capsys, s, T):
+    # D_half x^[-s] has cancelled into the rounding of x^[-s] on [T/4, T]:
+    # the fit read NaN or +0.50 and still gave a verdict
+    code, rec = run_json(capsys, "norm", "--s", s, "--T", T)
+    assert code == 2
+    assert rec["results"] == {}
+    assert rec["diagnostics"][0]["error_class"] == "DomainError"
+    assert "too large" in rec["diagnostics"][0]["message"]
 
 
 def test_norm_domain_exit_2(capsys):

@@ -17,6 +17,8 @@ from fracsum import (
     SummationConfig,
     apply_x_mult,
     const_fn,
+    digamma,
+    euler_gamma,
     flatness_probe,
     forward_difference,
     frac_power,
@@ -27,6 +29,7 @@ from fracsum import (
     fractional_sum_limits,
     half_difference,
     hurwitz_zeta,
+    hurwitz_zeta_with_error,
     linear_combination,
     log_fn,
     log_gamma,
@@ -37,7 +40,9 @@ from fracsum import (
     sum_log,
 )
 from fracsum.core import (_EPS, _FALL_RATIO, _FLOOR_ULPS, _GL_NODES, _GL_WEIGHTS, _GREGORY,
-                          FLATNESS_NS, MAX_N, MAX_SHIFT_TERMS, SCHEDULE, _wynn)
+                          FLATNESS_NS, MAX_N, MAX_SHIFT_TERMS, SCHEDULE, _wynn,
+                          frac_power_with_error)
+from fracsum.specfun import TARGET_ABS_TOL
 from oracles import richardson_diff
 
 PROBE = (0.5, 1.0, 2.0)
@@ -515,6 +520,25 @@ def test_frac_power_vectorized():
     vec = frac_power(xs, s)
     for i, x in enumerate(xs):
         assert abs(vec[i] - frac_power(float(x), s)) < 1e-13
+
+
+@pytest.mark.filterwarnings("ignore::fracsum.CancellationWarning")
+@pytest.mark.parametrize("s", [0.5 + 14j, 2.0 + 0j, 1.0 + 1e-9, 1.0 + 1e-4])
+@pytest.mark.parametrize("x", [0.5, np.array([-0.5, 0.0, 0.5, 3.7, 1e4])])
+def test_frac_power_with_error_bits(x, s):
+    # value and bound of one evaluation, bit for bit those of the separate
+    # evaluations of the closed form and of both Hurwitz bounds
+    value, bound = frac_power_with_error(x, s)
+    a = np.asarray(x, dtype=float) + 1.0
+    if abs(s - 1.0) < 1e-8:
+        want, want_bound = euler_gamma() + digamma(a), TARGET_ABS_TOL
+    else:
+        want = riemann_zeta(s) - hurwitz_zeta(s, a)
+        want_bound = hurwitz_zeta_with_error(s, 1.0)[1] + hurwitz_zeta_with_error(s, a)[1]
+    assert type(value) is type(want) and type(bound) is type(want_bound)
+    assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
+    assert bound == want_bound
+    assert np.asarray(frac_power(x, s)).tobytes() == np.asarray(value).tobytes()
 
 
 def test_asymptotic_ratio():

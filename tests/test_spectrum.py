@@ -441,6 +441,20 @@ def test_half_shift_tail_increments_distinguish_half_line():
         assert (inc2 < inc1) == shrinking
 
 
+@pytest.mark.parametrize("s,T", [(2.0, 1e7), (0.75, 1e14), (0.75 + 5j, 1e14), (1.0, 1e16)])
+def test_half_shift_norm_refuses_unresolved_fit(s, T):
+    # D_half x^[-s] ~ x^(-s)/2 is a difference of two values of x^[-s], and
+    # on [T/4, T] it falls within 10x their error bound
+    with pytest.raises(DomainError, match="too large"):
+        half_shift_norm(s, T)
+
+
+def test_half_shift_norm_resolved_at_large_T():
+    # resolved to 19x its error bound at x = T, the fit keeps its exponent
+    assert abs(half_shift_norm(2.0, 1e6).decay_exponent + 4.0) < 1e-3
+    assert abs(half_shift_norm(0.75, 1e10).decay_exponent + 1.5) < 1e-3
+
+
 def test_half_shift_norm_domain():
     with pytest.raises(DomainError):
         half_shift_norm(-0.5, 400.0)
