@@ -43,10 +43,11 @@ distinct x0 (0.5, 1.5 and 2.5 share one).  Each schedule step evaluates
 f at the integer nodes once for all of them, and the shifted nodes of
 every running limit in one call per group of whole rows, with each row's
 Gauss-Legendre nodes (for the derivative, H_n of all limits is one more
-call); a limit leaves the batch when it stops.  A group holds at most
-_ROW_BLOCK points and a longer row is evaluated alone, because numpy
-multiplies complex temporaries of 16384 points and up in place, by a loop
-whose last bit may differ: so each limit keeps the bits it has alone.
+call); a limit leaves the batch when it stops.  The exact shifts are
+grouped the same way, a row per x.  A group holds at most _ROW_BLOCK
+points and a longer row is evaluated alone, because numpy multiplies
+complex temporaries of 16384 points and up in place, by a loop whose last
+bit may differ: so each x keeps the bits it has alone.
 """
 
 from __future__ import annotations
@@ -398,21 +399,32 @@ _FLOOR_ULPS = 8.0
 _FALL_RATIO = 0.999
 
 
+def _groups(sizes: Sequence[int]) -> Iterable[slice]:
+    """Runs of whole rows of these sizes, in order, for one call each (see
+    the module docstring); rows of no points after the last point take none."""
+    start = total = 0
+    for i, size in enumerate(sizes):
+        if total and total + size > _ROW_BLOCK:
+            yield slice(start, i)
+            start, total = i, 0
+        total += size
+    if total:
+        yield slice(start, len(sizes))
+
+
 def _row_sums(g: Callable, x0s: np.ndarray, v: np.ndarray,
               shared: Optional[np.ndarray], extra: Optional[np.ndarray] = None) -> list[tuple]:
     """Per x0, the terms shared - g(x0 + v) over the row v (-g(x0 + v) when
     shared is None) as (their sum, the magnitudes they were formed from,
     their last five), and when ``extra`` (one row of points per x0) is
     given, g at x0's extra points as a fourth field; they share the call.
-    g runs on whole rows: at most _ROW_BLOCK points per call, or one longer
-    row alone (see the module docstring)."""
+    g runs on whole rows, one call per run of ``_groups``."""
     width = v.size + (0 if extra is None else extra.shape[1])
-    per = max(1, _ROW_BLOCK // width)
     out: list[tuple] = []
-    for i in range(0, x0s.size, per):
-        points = np.add.outer(x0s[i:i + per], v)
+    for run in _groups([width] * x0s.size):
+        points = np.add.outer(x0s[run], v)
         if extra is not None:
-            points = np.concatenate([points, extra[i:i + per]], axis=1)
+            points = np.concatenate([points, extra[run]], axis=1)
         vals = g(points.ravel()).reshape(-1, width)
         at = vals[:, :v.size]
         terms = -at if shared is None else shared - at
@@ -450,7 +462,10 @@ def fractional_sum_limits(f: EvalFn, xs: Sequence[float],
     g = f.derivative if derivative else f
     x0s = [float(x) - math.floor(x) if x >= 1.0 else float(x) for x in xs]
     nodes = [x0 + np.arange(1.0, float(x) - x0 + 0.5) for x, x0 in zip(xs, x0s)]
-    shifts = [complex(np.sum(g(at))) if at.size else 0j for at in nodes]
+    # the exact shifts: g in runs of whole x (see _groups), each x its own sum
+    sizes = [at.size for at in nodes]
+    vals = np.concatenate([[]] + [g(np.concatenate(nodes[run])) for run in _groups(sizes)])
+    shifts = [complex(np.sum(part)) for part in np.split(vals, np.cumsum(sizes)[:-1])]
 
     # per running limit: its partial values C_n, its extrapolants, the
     # running sums of its terms and of their magnitudes, and its last end

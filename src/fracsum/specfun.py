@@ -16,8 +16,10 @@ corrections.  That keeps one code path and one error model for
 Arguments named ``a``, ``z``, ``t`` or ``x`` accept either a scalar or a
 1-D numpy array and the result matches the input shape.  ``hurwitz_zeta``
 also takes a 1-D array of ``s`` with a scalar ``a``, in the same kernel;
-that is how ``hardy_z`` evaluates zeta over many ``s`` at once.  A point's
-value has the same bits alone and in any array.  The kernel,
+that is how ``hardy_z`` evaluates zeta over many ``s`` at once.  One
+batch rule holds for every function: a point's value has the same bits
+alone and in any array (``digamma`` and ``log_gamma`` step each point up
+by its own count, see ``_shifted_series``).  The kernel,
 ``_hurwitz_kernel``, returns each point's tail estimate and checks no
 target; ``hurwitz_zeta_with_error`` adds the gate that fails the whole
 call.  The strip scan calls the kernel once over its whole grid and flags
@@ -177,12 +179,7 @@ def hurwitz_zeta_with_error(s, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     w = a + em_terms); the rest start the tail at w = a.  The tail costs one
     complex power w^(-s) per point.  The explicit sum runs over blocks of
     _HURWITZ_BLOCK points, so its (block x em_terms) temporaries stay
-    bounded however long the array is.  An array of s with few distinct
-    Re s and Im s (a grid) has its explicit terms factored into one
-    magnitude per Re s and one phase per Im s, which gives the bits of
-    their complex exps (see ``_power_rows``).  A point's value has the
-    same bits alone and in every array that holds it, whichever argument
-    is the array.
+    bounded however long the array is.
     """
     value, each, rounding = _hurwitz_kernel(s, a, cfg)
     if isinstance(each, np.ndarray):  # an array of s, an estimate per point
@@ -207,23 +204,24 @@ def _power_rows(s: np.ndarray, logs: np.ndarray):
 
     numpy's complex exp is the C library's cexp(x + iy) = exp(x) (cos y,
     sin y), and -s logs has real part -sigma logs and imaginary part
-    (-sigma) 0 + (-t) logs.  Where the s hold few distinct Re and Im (fewer
-    than an eighth as many in all as there are s, as on the strip scan's
-    grid), the rows are built from a table of magnitudes, one per distinct
-    Re, cexp(x + 0i) = exp(x), and a table of phases, one per distinct Im,
+    (-sigma) 0 + (-t) logs, which is (-t) logs unless sigma has a sign bit.
+    Where none has and the s hold few distinct Re and Im (fewer than an
+    eighth as many in all as there are s, as on the strip scan's grid),
+    the rows are built from a table of magnitudes, one per distinct Re,
+    cexp(x + 0i) = exp(x), and a table of phases, one per distinct Im,
     cexp(0 + iy) = (cos y, sin y), multiplied part by part as cexp
     multiplies them.  So each finite s keeps the bits of its own complex
     exp, signed zeros included.  The eighth keeps the tables, which live
     for the whole call, to at most a quarter of the terms of all the rows.
     Other s (every Im differs, as on the Hardy-Z grid and in the zero
-    search's rounds) take one complex exp a term.
+    search's rounds, or a sigma has a sign bit) take one complex exp a term.
     """
     def direct(rows):
         return np.exp(-s[rows, None] * logs)
 
     # an Im that strictly increases cannot repeat, and checking that first
     # spares a zero search numpy's sort code (and its pages of memory)
-    if np.all(s.imag[1:] > s.imag[:-1]):
+    if np.all(s.imag[1:] > s.imag[:-1]) or np.signbit(s.real).any():
         return direct
     # distinct values by their bits, so that 0.0 and -0.0 stay apart
     sig_bits, sig_at = np.unique(s.real.view(np.int64), return_inverse=True)
@@ -232,15 +230,8 @@ def _power_rows(s: np.ndarray, logs: np.ndarray):
         return direct
     sigma, t = sig_bits.view(float), t_bits.view(float)
     mag = np.exp(-sigma[:, None] * logs + 0j).real
-    y = -t[:, None] * logs
-    neg = np.signbit(sigma)
-    if neg.any():
-        # where sigma carries a sign bit, (-sigma) 0 = +0 turns a y of -0
-        # into +0: those s take a second table of phases
-        y = np.concatenate((y, y + 0.0))
-        t_at = t_at + t.size * neg[sig_at]
-    phase = np.zeros(y.shape, dtype=complex)
-    phase.imag = y
+    phase = np.zeros((t.size, logs.size), dtype=complex)
+    phase.imag = -t[:, None] * logs
     np.exp(phase, out=phase)
 
     def factored(rows):
@@ -262,12 +253,9 @@ def _hurwitz_kernel(s, a, cfg: SpecFunConfig):
     array of s the last two are arrays over s, for a scalar s they are
     floats.  No target is checked and a non-finite value is returned as it
     is.  For an array of s the explicit terms (a < em_terms) come from
-    ``_power_rows``: factored into magnitudes per distinct Re s and phases
-    per distinct Im s when those number fewer than an eighth of the
-    points, else one complex exp each; either way with the same bits.  An
-    array of s raises only for a pole, Re(s) <= -2 EM_BERNOULLI_ORDER, an
-    invalid a or array shape, and sigma + 2M + 1 <= 0, where no estimate
-    exists.
+    ``_power_rows``.  An array of s raises only for a pole, Re(s) <=
+    -2 EM_BERNOULLI_ORDER, an invalid a or array shape, and
+    sigma + 2M + 1 <= 0, where no estimate exists.
     """
     batch = isinstance(s, (np.ndarray, list, tuple)) and np.ndim(s) > 0
     if batch:
@@ -342,7 +330,14 @@ def _hurwitz_kernel(s, a, cfg: SpecFunConfig):
     series = coef[-1]
     for c in reversed(coef[:-1]):
         series = series * inv_w2 + c
-    value += np.exp(-s * np.log(w)) * (w / (s - 1) + 0.5 + series * inv_w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail = np.exp(-s * np.log(w)) * (w / (s - 1) + 0.5 + series * inv_w)
+        lost = ~np.isfinite(tail)
+        if lost.any():  # w / (s - 1) overflowed; w^(1-s) / (s - 1) may not
+            np.copyto(tail, np.exp((1 - s) * np.log(w)) / (s - 1)
+                      + np.exp(-s * np.log(w)) * (0.5 + series * inv_w), where=lost)
+    value += tail
+    del tail, lost  # so that the bound's temporaries can reuse their memory
 
     # First omitted term, largest at the smallest w because its power
     # w^(-sigma-2M-1) falls with w.  It only sizes the bound, so numpy's
@@ -392,8 +387,7 @@ def riemann_zeta(s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN) -> complex:
     """Riemann zeta(s) = zeta(s, 1), same accuracy contract as hurwitz_zeta.
 
     Scalar s only, cached together with its bound (``_riemann_zeta_cached``).
-    For many s, ``hurwitz_zeta(s_array, 1.0)`` is one call and gives each
-    point these same bits.
+    For many s, ``hurwitz_zeta(s_array, 1.0)`` is one call.
     """
     s = complex(s)
     if s == 1:
@@ -401,16 +395,31 @@ def riemann_zeta(s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN) -> complex:
     return _riemann_zeta_cached(s, cfg)[0]
 
 
-def _upward(arr: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
-    """The upward recurrence to Re >= 10: returns (arr + m, -(step(arr) + ...
-    + step(arr + m - 1))) for the least such m >= 0."""
-    shift = max(0, int(math.ceil(10.0 - arr.real.min(initial=10.0))))
+def _shifted_series(arr: np.ndarray, step, head, term, power: int, what: str) -> np.ndarray:
+    """The upward recurrence to Re >= 10, then the asymptotic series there:
+    head(w) + sum_j term(j, w^(2j - 2 + power)), j = 1..8, at w = arr + m,
+    less step(arr) + ... + step(arr + m - 1), with each point's own least
+    such m >= 0."""
+    shift = np.ceil(10.0 - arr.real)
     acc = np.zeros_like(arr)
     work = arr.copy()
-    for _ in range(shift):
-        acc -= step(work)
-        work += 1.0
-    return work, acc
+    for k in range(int(shift.max(initial=0.0))):
+        np.subtract(acc, step(work), out=acc, where=k < shift)
+        np.add(work, 1.0, out=work, where=k < shift)
+    out = head(work)
+    lead = out.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2 = work * work
+        wpow = (work if power == 1 else w2).copy()
+        for j in range(1, 9):
+            out += term(j, wpow)
+            wpow *= w2
+    # the terms fail only where a power they use overflows, at |w| > 1e19;
+    # there each is below 1e-39 of head, so dropping them all is exact
+    np.copyto(out, lead, where=~np.isfinite(out))
+    out += acc
+    _require_finite(out, what)
+    return out
 
 
 def digamma(z):
@@ -423,21 +432,8 @@ def digamma(z):
     on_pole = (arr.imag == 0.0) & (arr.real <= 0.0) & (arr.real == np.round(arr.real))
     if np.any(on_pole):
         raise PoleError("digamma has poles at non-positive integers")
-    work, acc = _upward(arr, lambda w: 1.0 / w)
-    head = np.log(work) - 0.5 / work
-    out = head.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        w2 = work * work
-        wpow = w2.copy()
-        for j in range(1, 9):
-            out -= _BERNOULLI[2 * j] / (2 * j * wpow)
-            wpow *= w2
-    # the terms fail only where a power they use overflows, at |w| > 1e19;
-    # there each is below 1e-39 of head, so dropping them all is exact
-    np.copyto(out, head, where=~np.isfinite(out))
-    out += acc
-    _require_finite(out, "digamma")
-    return back(out)
+    return back(_shifted_series(arr, lambda w: 1.0 / w, lambda w: np.log(w) - 0.5 / w,
+                                lambda j, p: -(_BERNOULLI[2 * j] / (2 * j * p)), 2, "digamma"))
 
 
 def log_gamma(z):
@@ -452,20 +448,9 @@ def log_gamma(z):
     arr, back = _as_1d(z, complex)
     if np.any(arr.real <= 0.0):
         raise DomainError("log_gamma requires Re(z) > 0")
-    work, acc = _upward(arr, np.log)
-    head = (work - 0.5) * np.log(work) - work + 0.5 * math.log(_TWO_PI)
-    out = head.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        w2 = work * work
-        wpow = work.copy()
-        for j in range(1, 9):
-            out += _BERNOULLI[2 * j] / ((2 * j) * (2 * j - 1) * wpow)
-            wpow *= w2
-    # as in digamma: where a power overflowed, the terms are below 1e-39 of head
-    np.copyto(out, head, where=~np.isfinite(out))
-    out += acc
-    _require_finite(out, "log_gamma")
-    return back(out)
+    return back(_shifted_series(
+        arr, np.log, lambda w: (w - 0.5) * np.log(w) - w + 0.5 * math.log(_TWO_PI),
+        lambda j, p: _BERNOULLI[2 * j] / ((2 * j) * (2 * j - 1) * p), 1, "log_gamma"))
 
 
 def euler_gamma() -> float:

@@ -123,6 +123,7 @@ def eigen_residual(s: complex, cfg: OperatorConfig = DEFAULT_OPERATOR,
         zeta_s = riemann_zeta(s, spec_cfg)
         analytic = abs((s - 1.0) * zeta_s)
     numeric = _numeric_defect(s, lam, zeta_s, cfg, spec_cfg) if include_numeric else math.nan
+    f0, fhalf = frac_power(np.array([0.0, -0.5]), s, spec_cfg).tolist()
 
     lambda_is_real = abs(lam.imag) < REALITY_TOL
     # same test in the equivalent formulation; i*(2s-1) swaps components
@@ -134,8 +135,8 @@ def eigen_residual(s: complex, cfg: OperatorConfig = DEFAULT_OPERATOR,
         zeta_s=zeta_s,
         analytic_residual=float(analytic),
         numeric_residual=numeric,
-        boundary_f0=complex(frac_power(0.0, s, spec_cfg)),
-        boundary_fhalf=complex(frac_power(-0.5, s, spec_cfg)),
+        boundary_f0=f0,
+        boundary_fhalf=fhalf,
         is_eigen=analytic < EIGEN_TOL,
         lambda_is_real=lambda_is_real,
     )
@@ -260,8 +261,7 @@ def boundary_report(s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN) -> Boundar
         raise DomainError("boundary_report requires Re(s) > -1")
     if s == 1:
         raise PoleError("the boundary identity holds for s != 1")
-    f0 = complex(frac_power(0.0, s, cfg))
-    fmh = complex(frac_power(-0.5, s, cfg))
+    f0, fmh = frac_power(np.array([0.0, -0.5]), s, cfg).tolist()
     identity = (2.0 - 2.0 ** s) * riemann_zeta(s, cfg)
     return BoundaryReport(f0, fmh, abs(fmh - identity))
 

@@ -93,6 +93,16 @@ def test_eval_at_large_x(capsys):
     assert abs(rec["results"]["value"]["re"] - expect) <= 1e-15 * expect
 
 
+def test_eval_fracpow_near_float_max(capsys):
+    # zeta(s, x + 1) at x = 1.7e308, where w / (s - 1) overflows but
+    # x^[-s] ~ 4 (x + 1)^(1/4) is finite
+    code, rec = run_json(capsys, "eval", "fracpow", "--x", "1.7e308", "--s", "0.75")
+    assert code == 0
+    expect = 4.0 * 1.7e308 ** 0.25
+    assert abs(rec["results"]["value"]["re"] - expect) <= 1e-12 * expect
+    assert rec["results"]["value"]["im"] == 0.0
+
+
 @pytest.mark.parametrize("x", [0.5, 2e3, 1e5, 1e21])
 def test_eval_sumlog_err_estimate_holds_the_rounding(capsys, x):
     # one ulp of the value is 2.3e-10 at x = 1e5 and 8.4e6 at x = 1e21, far
@@ -411,7 +421,8 @@ def test_norm_steep_decay(capsys):
     assert abs(rec["results"]["decay_exponent"] - (-4.0)) < 0.2
 
 
-@pytest.mark.parametrize("s,T", [("2", "1e8"), ("0.75", "1e14"), ("0.75", "1e16")])
+@pytest.mark.parametrize("s,T", [("2", "1e8"), ("0.75", "1e14"), ("0.75", "1e16"),
+                                 ("0.75", "1.7e308")])
 def test_norm_unresolved_tail_fit_exit_2(capsys, s, T):
     # D_half x^[-s] has cancelled into the rounding of x^[-s] on [T/4, T]:
     # the fit read NaN or +0.50 and still gave a verdict

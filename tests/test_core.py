@@ -425,18 +425,23 @@ def as_bytes(value, err, n_used, converged):
 
 
 @pytest.mark.parametrize("derivative", [False, True])
-@pytest.mark.parametrize("case", ["sample_grid", "unconverged_long_rows"])
+@pytest.mark.parametrize("case", ["sample_grid", "s_one", "s_near_one", "long_shift",
+                                  "unconverged_long_rows"])
 def test_batch_limits_bitwise_equal_per_point_reference(case, derivative):
     # the X integrand of x^[-s] on the default grid: 0.5, 1.5 and 2.5 share
-    # x0 = 0.5, 1, 5 and 10 are integers, -0.9 and -0.1 are negative.
-    # e^(iv^2)/v^2 does not converge and runs to n = 131072, so its last
-    # rows hold 32768 and 65536 points, past the size where numpy's complex
-    # multiply changes loop; its limits run alone on those rows and in
-    # groups below them
-    if case == "sample_grid":
-        f = apply_x_mult(forward_difference(frac_power_fn(0.5 + 14.134725141734693j)))
-        xs = OperatorConfig().sample_grid
-    else:
+    # x0 = 0.5, 1, 5 and 10 are integers, -0.9 and -0.1 are negative.  At
+    # s = 1 and within 1e-8 of it x^[-s] is gamma + digamma(x + 1), whose
+    # recurrence takes each point's own step count.  The exact shifts of
+    # 1.5 and 2.5 share a call and the 20000 terms of 20000.5 take their
+    # own: in one call with them, numpy's complex product on the 40000
+    # points of x^[-s] would round differently.  e^(iv^2)/v^2 does not
+    # converge and runs to n = 131072, so its last rows hold 32768 and 65536
+    # points, past the size where numpy's complex multiply changes loop; its
+    # limits run alone on those rows and in groups below them
+    s = {"s_one": 1.0, "s_near_one": 1.0 + 1e-9}.get(case, 0.5 + 14.134725141734693j)
+    f = apply_x_mult(forward_difference(frac_power_fn(s)))
+    xs = (1.5, 2.5, 20000.5) if case == "long_shift" else OperatorConfig().sample_grid
+    if case == "unconverged_long_rows":
         f, xs = chirp_fn(), (0.3, 0.5, 3.7, 12.9)
     cfg = SummationConfig()
     batch = fractional_sum_limits(f, xs, cfg, derivative)

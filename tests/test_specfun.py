@@ -123,6 +123,16 @@ def test_hurwitz_vectorized_matches_scalar():
                                       for si in line[upper]]).tobytes()
 
 
+def test_hurwitz_tail_near_float_max():
+    # w / (s - 1) overflows at a = 1.7e308, where zeta(s, a) ~ a^(1-s)/(s-1)
+    # is finite; the other points of the array keep their bits
+    a = np.array([0.5, 1.7e308, 60.0])
+    value = hurwitz_zeta(0.75, a)
+    assert abs(value[1] / (-4.0 * 1.7e308 ** 0.25) - 1.0) < 1e-12
+    assert value[[0, 2]].tobytes() == np.array([hurwitz_zeta(0.75, 0.5),
+                                                hurwitz_zeta(0.75, 60.0)]).tobytes()
+
+
 def _product_grid(re, im):
     # im-major, as the strip scan lays out its cells; set part by part, as
     # re + 1j * im would turn an Im of -0.0 into 0.0
@@ -133,10 +143,11 @@ def _product_grid(re, im):
 
 
 def test_hurwitz_factored_grid_matches_scalar():
-    # a grid of few distinct Re and Im builds its explicit terms from one
-    # magnitude per Re and one phase per Im; each point must keep the bits
-    # of its scalar call.  Re and Im of both signs and both zeros, repeated
-    # Im rows, 492 points (a block and a part); then a grid that holds
+    # a grid of few distinct Re and Im, none with a sign bit, builds its
+    # explicit terms from one magnitude per Re and one phase per Im; each
+    # point must keep the bits of its scalar call.  First Re and Im of both
+    # signs and both zeros, repeated Im rows, 492 points (a block and a
+    # part), which takes one complex exp a term; then a grid that holds
     # s = 1 (twice: Im 0.0 and -0.0), without it, as the scan passes its
     # off-pole cells.  numpy's real exp differs from the C library's exp
     # in the last bit of some magnitudes, which would show here.
@@ -145,9 +156,9 @@ def test_hurwitz_factored_grid_matches_scalar():
     scan = _product_grid(np.linspace(0.5, 1.5, 41), im)
     assert np.count_nonzero(scan == 1) == 2
     logs = np.log(1.0 + np.arange(specfun.DEFAULT_SPECFUN.em_terms))
-    for s in (grid, scan[scan != 1]):
+    for s, path in ((grid, "direct"), (scan[scan != 1], "factored")):
         assert s.size % specfun._HURWITZ_BLOCK
-        assert specfun._power_rows(s, logs).__name__ == "factored"
+        assert specfun._power_rows(s, logs).__name__ == path
         assert hurwitz_zeta(s, 1.0).tobytes() == \
             np.array([hurwitz_zeta(complex(si), 1.0) for si in s]).tobytes()
     # term by term too: the exponent's imaginary part (-Re s) 0 + (-Im s) L
@@ -364,6 +375,14 @@ def test_log_gamma_domain():
         log_gamma(-0.5)
     with pytest.raises(DomainError):
         log_gamma(0.0)
+
+
+@pytest.mark.parametrize("fn", [digamma, log_gamma])
+def test_upward_recurrence_steps_per_point(fn):
+    # each point takes the steps its own Re z needs to reach Re >= 10, so in
+    # an array of mixed Re z it keeps the bits it has alone
+    z = np.array([0.1, 0.5, 1.0 - 3j, 2.5, 3.5 + 7j, 9.99, 11.0, 1e5, 1e21 + 2j])
+    assert fn(z).tobytes() == np.array([fn(complex(v)) for v in z]).tobytes()
 
 
 # -------------------------------------------------------------- euler gamma

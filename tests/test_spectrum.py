@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fracsum import (
+    CancellationWarning,
     ConvergenceError,
     DomainError,
     EigenCandidate,
@@ -20,7 +21,7 @@ from fracsum import (
     riemann_zeta,
     scan_s_plane,
 )
-from fracsum import cli, spectrum
+from fracsum import cli, specfun, spectrum
 from oracles import alt_series_zeta
 
 # classical ordinates, used only as coarse anchors (1e-6)
@@ -272,6 +273,55 @@ def test_boundary_report_pole_and_domain():
         boundary_report(1.0)
     with pytest.raises(DomainError):
         boundary_report(-1.5)
+
+
+@pytest.mark.filterwarnings("ignore::fracsum.CancellationWarning")
+@pytest.mark.parametrize("s", [1.0, 1.0 + 1e-9, 1.0 + 1e-4, 2.0,
+                               0.5 + 14.134725141734695j, 0.3 + 5j, -0.8 + 4j])
+def test_boundary_pair_is_one_call_with_the_bits_of_two(monkeypatch, s):
+    # x = 0 and x = -1/2 share one call of x^[-s], and each keeps the bits
+    # of its own call, on the digamma branch at s = 1 too
+    want = [repr(complex(spectrum.frac_power(x, s))) for x in (0.0, -0.5)]
+    calls = []
+    frac_power = spectrum.frac_power
+
+    def counting(x, *args):
+        calls.append(np.size(x))
+        return frac_power(x, *args)
+
+    monkeypatch.setattr(spectrum, "frac_power", counting)
+    got = []
+    if s.real > 0.0:
+        rep = eigen_residual(s, include_numeric=False)
+        got.append([repr(rep.boundary_f0), repr(rep.boundary_fhalf)])
+    if s != 1.0:
+        rep = boundary_report(s)
+        got.append([repr(rep.f0), repr(rep.f_minus_half)])
+    assert got and all(pair == want for pair in got)
+    assert calls == [2] * len(got)
+
+
+def test_boundary_report_warns_once_near_the_pole():
+    with pytest.warns(CancellationWarning) as caught:
+        boundary_report(1.0 + 1e-4)
+    assert len(caught) == 1
+
+
+def test_eigen_report_kernel_calls_at_first_zero(monkeypatch):
+    # the numeric eigen report at the first zero: 11 limits, their exact
+    # shifts grouped into few calls, and the boundary pair in one
+    calls = []
+    kernel = specfun._hurwitz_kernel
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(specfun, "_hurwitz_kernel", counting)
+    specfun._riemann_zeta_cached.cache_clear()
+    rep = eigen_residual(0.5 + 14.134725141734695j)
+    assert rep.numeric_residual < 1e-8
+    assert len(calls) <= 37
 
 
 # ------------------------------------------------------------------ scan
