@@ -24,12 +24,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .core import (SummationConfig, frac_power_with_error, fractional_sum_limit, power_fn,
-                   sum_log_with_error)
+from .config import OperatorConfig, SpecFunConfig, SummationConfig
 from .errors import ConvergenceError, DomainError, FracsumError
-from .operators import OperatorConfig
-from .specfun import SpecFunConfig
-from .spectrum import eigen_columns, find_critical_zeros, half_shift_norm, scan_columns
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -123,23 +119,30 @@ def _numbers_text(values):
 
 
 def _rows_parts(rows: _Rows, out: list, pad: str) -> None:
-    """Append the text of json.dumps(list(rows), indent=2), one piece per row.
+    """Append the text of json.dumps(list(rows), indent=2), one piece per
+    block of _ROWS_BLOCK rows.
 
-    The rows are encoded a block of _ROWS_BLOCK rows at a time, column by
-    column, and each row is then one % template.
+    A block is one flat list of every row's separators and value texts,
+    joined once: the separators stay in place from block to block, and
+    each column's texts are put in theirs by one slice assignment.
     """
-    if not len(rows):
+    n = len(rows)
+    if not n:
         out.append("[]")
         return
     inner, item = pad + "  ", pad + "    "
-    template = (",\n" + inner + "{\n" + item + (",\n" + item).join(
-        _encode_leaf(k) + ": %s" for k in rows.keys)
-        + "\n" + inner + "}")
+    keys = [_encode_leaf(k) + ": " for k in rows.keys]
+    seps = [",\n" + inner + "{\n" + item + keys[0],
+            *(",\n" + item + k for k in keys[1:]), "\n" + inner + "}"]
+    stride = len(seps) + len(keys)  # a row: seps[0], text, seps[1], ..., text, seps[-1]
     texts = [_column_text(col) for col in rows.columns]
+    flat = [piece for sep in seps for piece in (sep, None)][:-1] * min(n, _ROWS_BLOCK)
     head = len(out)
-    for lo in range(0, len(rows), _ROWS_BLOCK):
-        block = [text(slice(lo, lo + _ROWS_BLOCK)) for text in texts]
-        out.extend(map(template.__mod__, zip(*block)))
+    for lo in range(0, n, _ROWS_BLOCK):
+        del flat[stride * (n - lo):]  # the last block may be short
+        for j, text in enumerate(texts):
+            flat[2 * j + 1::stride] = text(slice(lo, lo + _ROWS_BLOCK))
+        out.append("".join(flat))
     out[head] = "[" + out[head][1:]
     out.append("\n" + pad + "]")
 
@@ -283,7 +286,11 @@ def read_records_csv(path: str) -> list[dict]:
     return out
 
 
+# Each command imports the layers it runs inside its handler, so that a run
+# loads only those: zeros (without --numeric-residual) and scan never load
+# fracsum.core or fracsum.operators, and only verify loads fracsum.verify.
 def _cmd_eval(args, cfgs, diagnostics):
+    from .core import frac_power_with_error, fractional_sum_limit, power_fn, sum_log_with_error
     op_cfg, spec_cfg = cfgs
     x = float(args.x)
     inputs = {"expr": args.expr, "x": x}
@@ -321,7 +328,6 @@ def _cmd_verify(args, cfgs, diagnostics):
     # verification always measures leniently (see README): each check
     # reports the defect its limits reached, converged or not
     op_cfg = replace(op_cfg, sum_cfg=replace(op_cfg.sum_cfg, strict=False))
-    # imported here so that only verify runs load the suite's module
     from .verify import run_suite
     checks = run_suite(args.suite, args.seed, op_cfg, spec_cfg)
     rows = [asdict(c) for c in checks]
@@ -334,9 +340,10 @@ def _cmd_verify(args, cfgs, diagnostics):
 
 
 def _cmd_zeros(args, cfgs, diagnostics):
+    from .spectrum import eigen_columns, find_critical_zeros
     op_cfg, spec_cfg = cfgs
     zeros = find_critical_zeros(args.t_min, args.t_max, spec_cfg)
-    cols = eigen_columns([z.t for z in zeros], op_cfg, spec_cfg, args.numeric_residual)
+    cols = eigen_columns(zeros, op_cfg, spec_cfg, args.numeric_residual)
     cols.update(lambda_re=cols["lam"].real, lambda_im=cols["lam"].imag)
     rows = [dict(zip(ZEROS_CSV_COLUMNS, (z.index, z.t, z.residual, *z.bracket, *rest)))
             for z, rest in zip(zeros, zip(*(cols[k].tolist() for k in ZEROS_CSV_COLUMNS[5:])))]
@@ -350,6 +357,7 @@ def _cmd_zeros(args, cfgs, diagnostics):
 
 
 def _cmd_scan(args, cfgs, diagnostics):
+    from .spectrum import scan_columns
     _, spec_cfg = cfgs
     cols = scan_columns((args.re0, args.re1), (args.im0, args.im1),
                         args.n_re, args.n_im, spec_cfg)
@@ -372,6 +380,7 @@ def _cmd_scan(args, cfgs, diagnostics):
 
 
 def _cmd_norm(args, cfgs, diagnostics):
+    from .spectrum import half_shift_norm
     _, spec_cfg = cfgs
     s = parse_complex(args.s)
     res = half_shift_norm(s, args.T, args.quad_points, spec_cfg)
@@ -397,14 +406,15 @@ _HANDLERS = {
 
 def _emit(record: dict, fmt: str) -> None:
     if fmt == "json":
-        # the bytes of print(json.dumps(record, indent=2)), written a few
-        # thousand pieces at a time so that an unbuffered stdout sees few
-        # writes; a value json cannot encode raises before any is written
+        # the bytes of print(json.dumps(record, indent=2)), written piece by
+        # piece (a table's piece is a block of rows) so that the whole text
+        # is never one more string; a value json cannot encode raises
+        # before any is written
         parts: list[str] = []
         _json_parts(record, parts)
         parts.append("\n")
-        for i in range(0, len(parts), 4096):
-            sys.stdout.write("".join(parts[i:i + 4096]))
+        for part in parts:
+            sys.stdout.write(part)
         return
     print(f"fracsum {record['command']}  (schema {record['schema_version']})")
     for key, val in record["inputs"].items():

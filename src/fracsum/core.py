@@ -60,12 +60,11 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CancellationWarning, ConvergenceError, DomainError, OutOfRangeError
+from .config import DEFAULT_SPECFUN, DEFAULT_SUMMATION, SpecFunConfig, SummationConfig
+from .errors import CancellationWarning, ConvergenceError, DomainError
 from .specfun import (
-    DEFAULT_SPECFUN,
     LOG_GAMMA_ULPS,
     TARGET_ABS_TOL,
-    SpecFunConfig,
     _as_1d,
     _riemann_zeta_cached,
     digamma,
@@ -237,31 +236,6 @@ SCHEDULE = (16, 32, 64, 128, 256, 512)
 FLATNESS_NS = (64, 128, 256, 512, 1024, 2048)
 #: the last index an unconverged limit doubles up to
 MAX_N = 131072
-
-
-@dataclass(frozen=True)
-class SummationConfig:
-    """Controls the limit engine.
-
-    The index schedule is SCHEDULE, extended by further doublings up to
-    MAX_N while unconverged, until a step whose end term did not fall or
-    whose rounding floor tops abs_tol.  Wynn's epsilon algorithm
-    extrapolates the partial values after each step; convergence means the
-    error estimate, the change of the last extrapolant or the rounding
-    floor if larger, is within abs_tol, and the end term fell on that step.
-    ``strict`` turns a failed convergence into a ConvergenceError instead
-    of a diagnostic.
-    """
-
-    abs_tol: float = 1e-8
-    strict: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise OutOfRangeError("abs_tol must be positive")
-
-
-DEFAULT_SUMMATION = SummationConfig()
 
 
 @dataclass(frozen=True)

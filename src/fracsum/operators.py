@@ -15,38 +15,12 @@ differences a summation limit, and R needs no special configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .core import (
-    EvalFn,
-    SummationConfig,
-    forward_difference,
-    fractional_sum_limits,
-    linear_combination,
-)
-from .errors import ConvergenceError, DomainError, OutOfRangeError
-from .specfun import _cmul
-
-@dataclass(frozen=True)
-class OperatorConfig:
-    """Differentiation step, summation config, and the default sample grid."""
-
-    diff_step: float = 1e-4
-    sum_cfg: SummationConfig = field(default_factory=SummationConfig)
-    sample_grid: tuple[float, ...] = (-0.9, -0.5, -0.1, 0.25, 0.5, 1.0, 1.5, 2.5, 5.0, 10.0)
-
-    def __post_init__(self) -> None:
-        if not 1e-7 <= self.diff_step <= 1e-2:
-            raise OutOfRangeError(f"diff_step must lie in [1e-7, 1e-2], got {self.diff_step}")
-        if not self.sample_grid:
-            raise OutOfRangeError("sample_grid must be nonempty")
-        if min(self.sample_grid) <= -1.0:
-            raise OutOfRangeError("sample_grid entries must exceed -1")
-
-
-DEFAULT_OPERATOR = OperatorConfig()
+from .config import DEFAULT_OPERATOR, OperatorConfig
+from .core import EvalFn, forward_difference, fractional_sum_limits, linear_combination
+from .errors import ConvergenceError, DomainError
+from .spectrum import eigenvalue_of
 
 
 def apply_x_mult(f: EvalFn) -> EvalFn:
@@ -137,25 +111,6 @@ def apply_R(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
     term_xp = apply_X(apply_p(f, cfg), cfg)
     term_px = apply_p(apply_X(f, cfg), cfg)
     return linear_combination([(1.0, term_xp), (1.0, term_px)], label=f"R[{f.label}]")
-
-
-def eigenvalue_of(s: complex | np.ndarray) -> complex | np.ndarray:
-    """The would-be eigenvalue i(2s - 1) of R at x^[-s]; purely algebraic.
-
-    One formula for a scalar s (giving a complex) and an array of s (giving
-    an array), so each point of an array has its scalar bits, signed zeros
-    included.  The real arithmetic is spelled out: 2s - 1 widens 2 and 1 to
-    complexes with a zero imaginary part, and i is the complex 0 + 1i.
-    Overflow gives inf and inf * 0 NaN without a warning, as in Python's
-    complex arithmetic.
-    """
-    z = np.asarray(s, dtype=complex)
-    w = np.empty(z.shape, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w.real = (2.0 * z.real - 0.0 * z.imag) - 1.0
-        w.imag = 2.0 * z.imag + 0.0 * z.real
-        lam = _cmul(1j, w)
-    return lam if isinstance(s, np.ndarray) else complex(lam)
 
 
 def continuum_dilation(s: complex, cfg: OperatorConfig = DEFAULT_OPERATOR) -> complex:

@@ -36,11 +36,11 @@ table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .config import DEFAULT_SPECFUN, SpecFunConfig
 from .errors import ConvergenceError, DomainError, OutOfRangeError, PoleError
 
 _BERNOULLI_MAX = 64
@@ -59,31 +59,6 @@ LOG_GAMMA_ULPS = 4.0
 # with the argument array (at 2048, the ~2k-point Hardy-Z grid of a zero
 # search raised its peak RSS by about 2 MB)
 _HURWITZ_BLOCK = 256
-
-
-@dataclass(frozen=True)
-class SpecFunConfig:
-    """Tuning knob for the Euler-Maclaurin evaluations.
-
-    em_terms  where the tail may start: a Hurwitz point with a < em_terms
-              first sums em_terms explicit terms and starts its tail at
-              w = a + em_terms; a point with a >= em_terms takes no explicit
-              terms and starts it at w = a.  Either way w >= em_terms.
-
-    The Bernoulli order EM_BERNOULLI_ORDER and the target TARGET_ABS_TOL are
-    fixed; with the default em_terms the first omitted Bernoulli term stays
-    below 1e-12 for |Im(s)| <= 100, which covers the first ~30 critical-line
-    zeros.
-    """
-
-    em_terms: int = 50
-
-    def __post_init__(self) -> None:
-        if self.em_terms < 10:
-            raise OutOfRangeError(f"em_terms must be >= 10, got {self.em_terms}")
-
-
-DEFAULT_SPECFUN = SpecFunConfig()
 
 # B_0 .. B_64 (B_k = 0 for odd k > 1): the exact rationals of the recurrence
 # sum_{j=0}^{m} C(m+1, j) B_j = 0, each rounded once to a float.  The naive

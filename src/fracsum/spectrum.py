@@ -11,28 +11,24 @@ Re(s) = 1/2: the reality of the nonzero spectrum is the Riemann hypothesis
 restated.  This module measures those residuals, finds critical-line zeros
 through sign changes of the Hardy Z function, sweeps the strip, and probes
 the tentative half-shift inner product <f, g> = int conj(D_half f) D_half g.
+
+The zero search, the scan and the zeros' analytic columns need only the
+special functions.  What builds x^[-s] and R (``fracsum.core`` and
+``fracsum.operators``) is imported inside the functions that use it, so
+that a run which needs neither does not load them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    const_fn,
-    frac_power,
-    frac_power_fn,
-    frac_power_with_error,
-    linear_combination,
-)
+from .config import DEFAULT_OPERATOR, DEFAULT_SPECFUN, OperatorConfig, SpecFunConfig
 from .errors import DomainError, PoleError
-from .operators import DEFAULT_OPERATOR, OperatorConfig, apply_R, eigenvalue_of
 from .specfun import (
-    DEFAULT_SPECFUN,
-    SpecFunConfig,
     _cmul,
     _hurwitz_kernel,
     _tail_misses,
@@ -55,12 +51,14 @@ _FIT_RESOLUTION = 10.0
 
 @dataclass(frozen=True)
 class ZetaZero:
-    """A critical-line zero: ordinal index, ordinate t, |zeta(1/2+it)|, bracket."""
+    """A critical-line zero: ordinal index, ordinate t, |zeta(1/2+it)|,
+    bracket, and zeta(1/2+it) itself."""
 
     index: int
     t: float
     residual: float
     bracket: tuple[float, float]
+    zeta: complex
 
 
 @dataclass(frozen=True)
@@ -76,6 +74,7 @@ class EigenCandidate:
             raise DomainError("candidates with alpha != 0 need Re(s) > 0")
 
     def as_eval_fn(self):
+        from .core import const_fn, frac_power_fn, linear_combination
         terms = [(self.beta, const_fn(1.0))]
         if self.alpha != 0:
             terms.insert(0, (self.alpha, frac_power_fn(self.s)))
@@ -103,6 +102,25 @@ class EigenReport:
     lambda_is_real: bool
 
 
+def eigenvalue_of(s: complex | np.ndarray) -> complex | np.ndarray:
+    """The would-be eigenvalue i(2s - 1) of R at x^[-s]; purely algebraic.
+
+    One formula for a scalar s (giving a complex) and an array of s (giving
+    an array), so each point of an array has its scalar bits, signed zeros
+    included.  The real arithmetic is spelled out: 2s - 1 widens 2 and 1 to
+    complexes with a zero imaginary part, and i is the complex 0 + 1i.
+    Overflow gives inf and inf * 0 NaN without a warning, as in Python's
+    complex arithmetic.
+    """
+    z = np.asarray(s, dtype=complex)
+    w = np.empty(z.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w.real = (2.0 * z.real - 0.0 * z.imag) - 1.0
+        w.imag = 2.0 * z.imag + 0.0 * z.real
+        lam = _cmul(1j, w)
+    return lam if isinstance(s, np.ndarray) else complex(lam)
+
+
 def eigen_residual(s: complex, cfg: OperatorConfig = DEFAULT_OPERATOR,
                    spec_cfg: SpecFunConfig = DEFAULT_SPECFUN,
                    include_numeric: bool = True) -> EigenReport:
@@ -112,6 +130,7 @@ def eigen_residual(s: complex, cfg: OperatorConfig = DEFAULT_OPERATOR,
     domain).  The numeric residual runs the nested limit-plus-derivative
     pipeline over cfg.sample_grid; pass include_numeric=False to skip it.
     """
+    from .core import frac_power
     s = complex(s)
     if s.real <= 0.0:
         raise DomainError(f"eigen_residual requires Re(s) > 0, got {s}")
@@ -145,21 +164,24 @@ def eigen_residual(s: complex, cfg: OperatorConfig = DEFAULT_OPERATOR,
 def _numeric_defect(s: complex, lam: complex, zeta_s: Optional[complex],
                     cfg: OperatorConfig, spec_cfg: SpecFunConfig) -> float:
     """EigenReport.numeric_residual at s, for lam and zeta_s as reported."""
+    from .core import frac_power_fn
+    from .operators import apply_R
     const_term = 1j if zeta_s is None else 1j * (s - 1.0) * zeta_s
     f = frac_power_fn(s, spec_cfg)
     xs = np.asarray(cfg.sample_grid, dtype=float)
     return float(np.abs(apply_R(f, cfg)(xs) - lam * f(xs) + const_term).max())
 
 
-def eigen_columns(t, cfg: OperatorConfig = DEFAULT_OPERATOR,
+def eigen_columns(zeros: Sequence[ZetaZero], cfg: OperatorConfig = DEFAULT_OPERATOR,
                   spec_cfg: SpecFunConfig = DEFAULT_SPECFUN,
                   include_numeric: bool = False) -> dict[str, np.ndarray]:
-    """``eigen_residual``'s figures at s = 1/2 + it over the 1-D t, with its
-    bits, from one Hurwitz call per a: the columns of ``_zeta_columns``,
-    numeric_residual (NaN unless include_numeric), and boundary_f0_abs and
-    boundary_fhalf_abs, |x^[-s]| = |zeta(s) - zeta(s, x + 1)| at x = 0, -1/2."""
-    s = 0.5 + 1j * np.asarray(t, dtype=float)
-    zeta = hurwitz_zeta(s, 1.0, spec_cfg)
+    """``eigen_residual``'s figures at the zeros' s = 1/2 + it, with its
+    bits, from their zeta values and one Hurwitz call at a = 1/2: the
+    columns of ``_zeta_columns``, numeric_residual (NaN unless
+    include_numeric), and boundary_f0_abs and boundary_fhalf_abs,
+    |x^[-s]| = |zeta(s) - zeta(s, x + 1)| at x = 0, -1/2."""
+    s = 0.5 + 1j * np.array([z.t for z in zeros], dtype=float)
+    zeta = np.array([z.zeta for z in zeros], dtype=complex)
     cols = _zeta_columns(s, zeta)
     f0, fhalf = zeta - zeta, zeta - hurwitz_zeta(s, 0.5, spec_cfg)
     numeric = ([_numeric_defect(*p, cfg, spec_cfg)
@@ -239,8 +261,8 @@ def find_critical_zeros(t_min: float, t_max: float,
     t, lo, hi = _bisect_zero(zvals[found], zvals[end], ts[found], ts[end], cfg, _ZERO_WIDTH)
     zeta = hurwitz_zeta(0.5 + 1j * t, 1.0, cfg)
     residual = np.hypot(zeta.real, zeta.imag)
-    return [ZetaZero(k + 1, tk, r, (l, h)) for k, (tk, r, l, h) in enumerate(
-        zip(t.tolist(), residual.tolist(), lo.tolist(), hi.tolist()))]
+    return [ZetaZero(k + 1, *z) for k, z in enumerate(zip(
+        t.tolist(), residual.tolist(), zip(lo.tolist(), hi.tolist()), zeta.tolist()))]
 
 
 @dataclass(frozen=True)
@@ -256,6 +278,7 @@ def boundary_report(s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN) -> Boundar
     f(0) is 0 by construction; at a zeta zero f(-1/2) vanishes as well, which
     is why the two boundary conditions are interchangeable there.
     """
+    from .core import frac_power
     s = complex(s)
     if s.real <= -1.0:
         raise DomainError("boundary_report requires Re(s) > -1")
@@ -357,6 +380,7 @@ def half_shift_norm(s: complex, T: float, quad_points: int = 4000,
     the rounding of x^[-s] as T grows: DomainError where a fit sample is
     below _FIT_RESOLUTION times the bound on its error.
     """
+    from .core import frac_power_with_error
     s = complex(s)
     if s.real <= 0.0:
         raise DomainError("half_shift_norm requires Re(s) > 0")

@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
+from .config import DEFAULT_OPERATOR, DEFAULT_SPECFUN, DEFAULT_SUMMATION, OperatorConfig
 from .core import (
-    DEFAULT_SUMMATION,
     FLAT,
     NOT_FLAT,
     EvalFn,
@@ -36,19 +36,10 @@ from .core import (
     sin_2pi_fn,
     sum_log,
 )
-from .operators import (
-    DEFAULT_OPERATOR,
-    OperatorConfig,
-    apply_p,
-    apply_R,
-    apply_X,
-    apply_x_mult,
-    continuum_dilation,
-    eigenvalue_of,
-)
+from .operators import apply_p, apply_R, apply_X, apply_x_mult, continuum_dilation
 from .errors import ConvergenceError
-from .specfun import DEFAULT_SPECFUN, riemann_zeta
-from .spectrum import boundary_report
+from .specfun import riemann_zeta
+from .spectrum import boundary_report, eigenvalue_of
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from fracsum import OperatorConfig, cli, core, eigen_residual, specfun, spectrum
+from fracsum import (OperatorConfig, SpecFunConfig, SummationConfig, cli, core, eigen_residual,
+                     specfun, spectrum)
 from fracsum.specfun import TARGET_ABS_TOL, hurwitz_zeta, hurwitz_zeta_with_error
 from fracsum.cli import main, parse_complex, read_records_csv
 
@@ -116,7 +117,8 @@ def test_eval_sumlog_err_estimate_holds_the_rounding(capsys, x):
 
 def test_kernel_calls_per_command(capsys, monkeypatch):
     # eval fracpow takes x^[-s] and its bound from one Hurwitz kernel call
-    # per a; the zeros record takes its columns in one array pass per a
+    # per a; the zeros record takes its columns in one array pass at a = 1/2,
+    # with zeta(s) from the zero search's own call
     calls = []
     kernel = specfun._hurwitz_kernel
 
@@ -126,7 +128,7 @@ def test_kernel_calls_per_command(capsys, monkeypatch):
 
     monkeypatch.setattr(specfun, "_hurwitz_kernel", counting)
     for argv, want in ((("eval", "fracpow", "--x", "0.5", "--s", "0.5+14i"), 2),
-                       (("zeros", "0", "100"), 9)):
+                       (("zeros", "0", "100"), 8)):
         specfun._riemann_zeta_cached.cache_clear()
         calls.clear()
         code, _ = run_json(capsys, *argv)
@@ -307,9 +309,18 @@ def test_zeros_first_three(capsys, tmp_path):
         assert row["lambda_re"] == rec_row["lambda_re"]
 
 
+def test_zeros_residual_is_abs_zeta(capsys):
+    # both columns are |zeta(1/2 + it)| from the zero search's one call
+    code, rec = run_json(capsys, "zeros", "0", "100")
+    assert code == 0
+    rows = rec["results"]["zeros"]
+    assert len(rows) == 29
+    assert all(repr(row["residual"]) == repr(row["abs_zeta"]) for row in rows)
+
+
 def test_zeros_empty_range(capsys, monkeypatch):
-    # no zero below 10: the zero search's residuals and the record's array
-    # pass run on empty arrays, one Hurwitz call for each a of the pass, with
+    # no zero below 10: the zero search's residuals (a = 1) and the record's
+    # array pass (a = 1/2) run on empty arrays, one Hurwitz call each, with
     # the numeric defect or without
     sizes = []
 
@@ -324,7 +335,7 @@ def test_zeros_empty_range(capsys, monkeypatch):
         assert code == 0
         assert rec["results"]["n_zeros"] == 0
         assert rec["results"]["zeros"] == []
-        assert sizes == [0, 0, 0]
+        assert sizes == [0, 0]
 
 
 def test_zeros_bad_range_exit_2(capsys):
@@ -502,6 +513,19 @@ def test_global_flags_accepted_after_subcommand(capsys):
     code, rec = run_json(capsys, "eval", "fracpow", "--x", "1", "--s", "2+0i",
                          "--em-terms", "60")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["scan", "--help"]])
+def test_help_shows_the_config_defaults(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "200")  # no option's help wraps
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    shown = dict(re.findall(r"--([a-z-]+) [A-Z_]+\s[^(]*?\(default: ([^)]+)\)", text))
+    assert float(shown["abs-tol"]) == SummationConfig().abs_tol
+    assert float(shown["diff-step"]) == OperatorConfig().diff_step
+    assert int(shown["em-terms"]) == SpecFunConfig().em_terms
 
 
 def test_zeros_numeric_residual_flag(capsys):
@@ -711,3 +735,8 @@ def test_commands_load_only_what_they_use(argv):
     assert "fracsum.verify" not in run["at_import"]
     assert ("fracsum.verify" in run["added"]) == (argv[0] == "verify")
     assert "numpy.ma" not in run["added"]
+    # the zero search and the scan need only the special functions
+    loaded = {m for m in run["at_import"] + run["added"] if m.startswith("fracsum")}
+    if argv[0] == "scan" or argv == ["zeros", "14", "15"]:
+        assert loaded == {"fracsum", "fracsum.cli", "fracsum.config", "fracsum.errors",
+                          "fracsum.specfun", "fracsum.spectrum"}
