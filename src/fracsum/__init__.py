@@ -1,7 +1,8 @@
 """Fractional summation, the operator R = Xp + pX, and the reality of its
 eigenvalues at critical-line zeros of the Riemann zeta function.
 
-The package is organised in four layers:
+The package is organised in four layers, each of which imports only the
+layers listed before it:
 
 ``fracsum.specfun``
     Complex special functions (Hurwitz/Riemann zeta by Euler-Maclaurin
@@ -39,15 +40,13 @@ _HOMES = {
                 "riemann_zeta"),
     "core": ("FLAT", "INCONCLUSIVE", "NOT_FLAT", "EvalFn", "FlatnessReport", "FlatnessSample",
              "FracSumResult", "const_fn", "flatness_probe", "forward_difference", "frac_power",
-             "frac_power_derivative", "frac_power_fn", "fractional_sum_derivative",
-             "fractional_sum_limit", "fractional_sum_limits", "half_difference",
-             "linear_combination", "log_fn", "pointwise_fn", "power_fn", "sin_2pi_fn",
-             "sum_log"),
-    "operators": ("apply_R", "apply_X", "apply_p", "apply_x_mult", "continuum_dilation"),
-    "spectrum": ("EIGEN_TOL", "REALITY_TOL", "BoundaryReport", "EigenCandidate",
-                 "EigenReport", "HalfShiftNorm", "ScanCell", "ZetaZero", "boundary_report",
-                 "eigen_residual", "eigenvalue_of", "find_critical_zeros", "half_shift_norm",
-                 "scan_s_plane"),
+             "frac_power_derivative", "frac_power_fn", "fractional_sum_limit",
+             "fractional_sum_limits", "half_difference", "linear_combination", "log_fn",
+             "power_fn", "sin_2pi_fn", "sum_log"),
+    "operators": ("apply_R", "apply_X", "apply_p", "apply_x_mult"),
+    "spectrum": ("EIGEN_TOL", "REALITY_TOL", "BoundaryReport", "EigenReport", "HalfShiftNorm",
+                 "ScanCell", "ZetaZero", "boundary_report", "eigen_residual", "eigenvalue_of",
+                 "find_critical_zeros", "half_shift_norm", "scan_s_plane"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

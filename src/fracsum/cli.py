@@ -24,7 +24,13 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .config import OperatorConfig, SpecFunConfig, SummationConfig
+from .config import (
+    MAX_QUAD_POINTS,
+    MAX_SCAN_CELLS,
+    OperatorConfig,
+    SpecFunConfig,
+    SummationConfig,
+)
 from .errors import ConvergenceError, DomainError, FracsumError
 
 EXIT_OK = 0
@@ -231,15 +237,18 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("re1", type=float)
     ps.add_argument("im0", type=float)
     ps.add_argument("im1", type=float)
-    ps.add_argument("n_re", type=int)
-    ps.add_argument("n_im", type=int)
+    ps.add_argument("n_re", type=int, help="grid points along Re s")
+    ps.add_argument("n_im", type=int, help="grid points along Im s; n_re * n_im is at "
+                                           f"most {MAX_SCAN_CELLS}")
     ps.add_argument("--csv", type=str, default=None)
 
     pn = sub.add_parser("norm", help="truncated half-shift norm diagnostics",
                         parents=[common])
     pn.add_argument("--s", type=str, required=True)
     pn.add_argument("--T", type=float, required=True)
-    pn.add_argument("--quad-points", type=int, default=4000)
+    pn.add_argument("--quad-points", type=int, default=4000,
+                    help=f"Simpson points over [0, T], from 1000 to {MAX_QUAD_POINTS} "
+                         "(default: 4000)")
     return p
 
 

@@ -1,4 +1,5 @@
-"""The three tuning records of the package and their defaults.
+"""The three tuning records of the package and their defaults, and the
+largest sizes a strip scan and a half-shift norm may allocate.
 
 They live apart from the layers they tune so that a run reads its
 defaults, and the CLI its ``--help``, without loading the layers: the
@@ -12,6 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import OutOfRangeError
+
+#: most cells n_re * n_im of one ``spectrum.scan_columns`` grid
+MAX_SCAN_CELLS = 10 ** 6
+#: most quadrature points of one ``spectrum.half_shift_norm``
+MAX_QUAD_POINTS = 10 ** 6
 
 
 @dataclass(frozen=True)

@@ -87,10 +87,9 @@ class EvalFn:
     """A complex-valued function on (domain_lo, inf).
 
     ``eval`` is the pointwise map; it receives a 1-D float array and
-    returns values of the same shape (wrap scalar-only callables with
-    :func:`pointwise_fn`).  Calling the function, or its ``derivative``,
-    checks the domain and adapts a scalar argument: ``eval`` sees a
-    one-point array and the caller gets its element back.
+    returns values of the same shape.  Calling the function, or its
+    ``derivative``, checks the domain and adapts a scalar argument:
+    ``eval`` sees a one-point array and the caller gets its element back.
     ``analytic_derivative``, when present, takes the same arrays and is
     held to the testable contract of matching Richardson-improved central
     differences (step 3e-4) to 1e-6 at interior points.
@@ -117,19 +116,6 @@ class EvalFn:
             raise DomainError(f"{self.label or 'function'} carries no analytic derivative")
         return self._at(self.analytic_derivative, x,
                         f"derivative of {self.label or 'function'}")
-
-
-def pointwise_fn(domain_lo: float, fn: Callable[[float], complex],
-                 derivative: Optional[Callable[[float], complex]] = None,
-                 label: str = "user") -> EvalFn:
-    """Wrap a scalar-only callable as an EvalFn: it is called once per
-    float of the 1-D array ``eval`` receives."""
-
-    def _vec(g):
-        return lambda x: np.array([g(v) for v in x.tolist()])
-
-    return EvalFn(domain_lo, _vec(fn),
-                  _vec(derivative) if derivative is not None else None, label)
 
 
 def const_fn(c: complex = 1.0) -> EvalFn:
@@ -508,17 +494,6 @@ def fractional_sum_limit(f: EvalFn, x: float,
     docstring) is taken.  The one-point entry of ``fractional_sum_limits``.
     """
     return fractional_sum_limits(f, [x], cfg)[0]
-
-
-def fractional_sum_derivative(f: EvalFn, x: float,
-                              cfg: SummationConfig = DEFAULT_SUMMATION) -> FracSumResult:
-    """d/dx sum_{v=1}^{x} f(v) for x > -1, for f with an analytic derivative.
-
-    The limit of C_n with g(v) = -f'(v+x0) and H_n = f(n+x0), plus
-    f'(x0+1) + ... + f'(x) exactly, with x0 as in ``fractional_sum_limit``.
-    The one-point entry of ``fractional_sum_limits``.
-    """
-    return fractional_sum_limits(f, [x], cfg, derivative=True)[0]
 
 
 _S_ONE_EXACT = 1e-8   # at |s-1| below this, switch to the digamma branch

@@ -19,8 +19,7 @@ import numpy as np
 
 from .config import DEFAULT_OPERATOR, OperatorConfig
 from .core import EvalFn, forward_difference, fractional_sum_limits, linear_combination
-from .errors import ConvergenceError, DomainError
-from .spectrum import eigenvalue_of
+from .errors import DomainError
 
 
 def apply_x_mult(f: EvalFn) -> EvalFn:
@@ -42,7 +41,8 @@ def apply_p(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
 
     Numeric path: central stencil of step cfg.diff_step, Richardson-improved
     with the half step; within 2h of the left boundary a second-order
-    one-sided stencil is used so no evaluation leaves the domain.
+    one-sided stencil is used so no evaluation leaves the domain.  An
+    evaluation calls f once, on the four stencil points of every x.
     """
     if f.analytic_derivative is not None:
         return EvalFn(f.domain_lo, lambda x: -1j * f.analytic_derivative(x),
@@ -50,22 +50,26 @@ def apply_p(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
 
     h = cfg.diff_step
 
-    def central(xs, step):
-        return (f.eval(xs + step) - f.eval(xs - step)) / (2.0 * step)
+    def central(up, down, step):
+        return (up - down) / (2.0 * step)
 
-    def onesided(xs, step):
-        return (-3.0 * f.eval(xs) + 4.0 * f.eval(xs + step) - f.eval(xs + 2.0 * step)) / (2.0 * step)
+    def onesided(at, up, up2, step):
+        return (-3.0 * at + 4.0 * up - up2) / (2.0 * step)
 
-    def diff(xs, stencil):
-        return (4.0 * stencil(xs, h / 2.0) - stencil(xs, h)) / 3.0
+    def richardson(fine, coarse):
+        return (4.0 * fine - coarse) / 3.0
 
     def ev(xs):
-        out = np.empty(xs.shape, dtype=complex)
         near = (xs - f.domain_lo) < 2.0 * h
-        if near.any():
-            out[near] = diff(xs[near], onesided)
-        if (~near).any():
-            out[~near] = diff(xs[~near], central)
+        # each point's four stencil points, all in one call of f
+        points = np.where(near, [xs, xs + h / 2.0, xs + h, xs + 2.0 * h],
+                          [xs + h / 2.0, xs - h / 2.0, xs + h, xs - h])
+        vals = f.eval(points.ravel()).reshape(4, -1)
+        out = np.empty(xs.shape, dtype=complex)
+        at, up, up2, up4 = vals[:, near]
+        out[near] = richardson(onesided(at, up, up2, h / 2.0), onesided(at, up2, up4, h))
+        up, down, up2, down2 = vals[:, ~near]
+        out[~near] = richardson(central(up, down, h / 2.0), central(up2, down2, h))
         return -1j * out
 
     return EvalFn(f.domain_lo, ev, label=f"p[{f.label}]")
@@ -111,28 +115,3 @@ def apply_R(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
     term_xp = apply_X(apply_p(f, cfg), cfg)
     term_px = apply_p(apply_X(f, cfg), cfg)
     return linear_combination([(1.0, term_xp), (1.0, term_px)], label=f"R[{f.label}]")
-
-
-def continuum_dilation(s: complex, cfg: OperatorConfig = DEFAULT_OPERATOR) -> complex:
-    """Eigenvalue ``eigenvalue_of(s)`` of x p + p x acting on x^(-s), checked.
-
-    The value itself is algebraic.  A companion numeric check applies
-    x(-i d/dx) + (-i d/dx) x to x^(-s) through the finite-difference
-    machinery on the grid (0.5, 1, 2, 5) and asserts the ratio against the
-    formula (tolerance 1e-6).
-    """
-    s = complex(s)
-    lam = eigenvalue_of(s)
-    grid = (0.5, 1.0, 2.0, 5.0)
-    # no analytic derivative attached: the check must run through the
-    # numeric p path, otherwise it would just restate the formula
-    w = EvalFn(0.0, lambda x: np.exp(-s * np.log(x)), label=f"x^(-({s}))")
-    applied = linear_combination(
-        [(1.0, apply_x_mult(apply_p(w, cfg))), (1.0, apply_p(apply_x_mult(w), cfg))]
-    )
-    ratios = applied(grid) / w(grid)
-    off = np.flatnonzero(np.abs(ratios - lam) > 1e-6 * max(1.0, abs(lam)))
-    if off.size:
-        raise ConvergenceError(f"dilation check failed at x={grid[off[0]]}: "
-                               f"ratio {complex(ratios[off[0]])} vs {lam}")
-    return lam

@@ -26,7 +26,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_OPERATOR, DEFAULT_SPECFUN, OperatorConfig, SpecFunConfig
+from .config import (
+    DEFAULT_OPERATOR,
+    DEFAULT_SPECFUN,
+    MAX_QUAD_POINTS,
+    MAX_SCAN_CELLS,
+    OperatorConfig,
+    SpecFunConfig,
+)
 from .errors import DomainError, PoleError
 from .specfun import (
     _cmul,
@@ -59,26 +66,6 @@ class ZetaZero:
     residual: float
     bracket: tuple[float, float]
     zeta: complex
-
-
-@dataclass(frozen=True)
-class EigenCandidate:
-    """The eigenfunction family f(x) = alpha x^[-s] + beta."""
-
-    alpha: complex
-    beta: complex
-    s: complex
-
-    def __post_init__(self) -> None:
-        if self.alpha != 0 and complex(self.s).real <= 0.0:
-            raise DomainError("candidates with alpha != 0 need Re(s) > 0")
-
-    def as_eval_fn(self):
-        from .core import const_fn, frac_power_fn, linear_combination
-        terms = [(self.beta, const_fn(1.0))]
-        if self.alpha != 0:
-            terms.insert(0, (self.alpha, frac_power_fn(self.s)))
-        return linear_combination(terms, label=f"{self.alpha}*x^[-s]+{self.beta}")
 
 
 @dataclass(frozen=True)
@@ -309,7 +296,8 @@ def scan_columns(re_range: tuple[float, float], im_range: tuple[float, float],
     Returns one flat array per ScanCell field, keyed by the field's name,
     over the cells in im-major order (im outer, re inner).  The grid must
     sit in Re(s) > 0 (outside that the candidates leave the operator
-    domain and the sweep is meaningless).  Cells within 1e-3 of s = 1 get
+    domain and the sweep is meaningless), and hold at most MAX_SCAN_CELLS
+    cells, checked before any array is built.  Cells within 1e-3 of s = 1 get
     flag "pole".  All other cells are one call of the Hurwitz kernel,
     zeta(s) = zeta(s, 1), which reports each point's tail estimate instead
     of failing the call; a cell whose estimate misses TARGET_ABS_TOL (a
@@ -329,6 +317,8 @@ def scan_columns(re_range: tuple[float, float], im_range: tuple[float, float],
         raise DomainError("ranges must be ordered")
     if n_re < 1 or n_im < 1:
         raise DomainError("need at least one grid point per axis")
+    if n_re * n_im > MAX_SCAN_CELLS:
+        raise DomainError(f"a scan has at most {MAX_SCAN_CELLS} cells, got {n_re} x {n_im}")
     s = np.empty(n_re * n_im, dtype=complex)
     s.real = np.tile(np.linspace(re0, re1, n_re), n_im)
     s.imag = np.repeat(np.linspace(im0, im1, n_im), n_re)
@@ -389,8 +379,8 @@ def half_shift_norm(s: complex, T: float, quad_points: int = 4000,
         raise DomainError("T must be >= 100 for a meaningful tail fit")
     if not T < math.inf:
         raise DomainError(f"T must be finite, got {T}")
-    if quad_points < 1000:
-        raise DomainError("quad_points must be >= 1000")
+    if not 1000 <= quad_points <= MAX_QUAD_POINTS:
+        raise DomainError(f"quad_points must lie in [1000, {MAX_QUAD_POINTS}], got {quad_points}")
 
     def half_diff(x):  # |D_half x^[-s]| as half_difference forms it, and its bound
         values, bound = frac_power_with_error(np.concatenate([x, x - 0.5]), s, cfg)

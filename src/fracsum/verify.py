@@ -31,12 +31,13 @@ from .core import (
     frac_power_fn,
     fractional_sum_limit,
     fractional_sum_limits,
+    linear_combination,
     log_fn,
     power_fn,
     sin_2pi_fn,
     sum_log,
 )
-from .operators import apply_p, apply_R, apply_X, apply_x_mult, continuum_dilation
+from .operators import apply_p, apply_R, apply_X, apply_x_mult
 from .errors import ConvergenceError
 from .specfun import riemann_zeta
 from .spectrum import boundary_report, eigenvalue_of
@@ -88,6 +89,20 @@ def _richardson_diff(fn, xs, h=3e-4) -> np.ndarray:
     vals = np.asarray(fn(np.concatenate([xs + h, xs - h, xs + h / 2, xs - h / 2])))
     return np.array([(4 * ((up2 - dn2) / h) - (up - dn) / (2 * h)) / 3
                      for up, dn, up2, dn2 in vals.reshape(4, -1).T.tolist()])
+
+
+def _dilation_defect(s: complex, op_cfg: OperatorConfig = DEFAULT_OPERATOR) -> float:
+    """Largest |ratio - lam| / max(1, |lam|) over x in (0.5, 1, 2, 5), where
+    ratio = ((x p + p x) w)(x) / w(x) for w = x^(-s) and lam = i(2s - 1).
+    w carries no analytic derivative, so both p's difference it
+    numerically: the measure does not restate the formula."""
+    s = complex(s)
+    lam = eigenvalue_of(s)
+    grid = (0.5, 1.0, 2.0, 5.0)
+    w = EvalFn(0.0, lambda x: np.exp(-s * np.log(x)), label=f"x^(-({s}))")
+    applied = linear_combination(
+        [(1.0, apply_x_mult(apply_p(w, op_cfg))), (1.0, apply_p(apply_x_mult(w), op_cfg))])
+    return _sup(applied(grid) / w(grid) - lam) / max(1.0, abs(lam))
 
 
 def lemma_suite(seed: int = 0,
@@ -201,10 +216,10 @@ def operator_suite(seed: int = 0,
     out.append(_check("x_mult_product_rule", 1e-6, lambda: _sup(
         apply_x_mult(f).derivative(xs) - _richardson_diff(lambda u: u * f(u), xs))))
 
-    # Dilation eigenvalue formula, through the numeric pipeline.
+    # x p + p x has the eigenfunction x^(-s), eigenvalue i(2s-1).
     s = 0.6 + 1.5j
-    out.append(_check("continuum_dilation_eigenvalue", 1e-12, lambda: abs(
-        continuum_dilation(s, op_cfg) - eigenvalue_of(s))))
+    out.append(_check("continuum_dilation_eigenvalue", 1e-6,
+                      lambda: _dilation_defect(s, op_cfg)))
 
     # One full numeric R against the closed form,
     # R x^[-s] = i(2s-1) x^[-s] - i(s-1) zeta(s) (the nested-limit path).

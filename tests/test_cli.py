@@ -400,6 +400,20 @@ def test_scan_domain_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("scan", "0.4", "0.2", "1", "2", "3", "3"),
+    ("scan", "0.2", "0.4", "1", "2", "0", "3"),
+    ("scan", "0.2", "0.4", "1", "2", "1001", "1000"),
+    ("norm", "--s", "2", "--T", "400", "--quad-points", "1000001"),
+])
+def test_bad_grid_and_size_caps_exit_2(capsys, argv):
+    # the last two are just over the size caps, refused before allocating
+    code, rec = run_json(capsys, *argv)
+    assert code == 2
+    assert rec["results"] == {}
+    assert rec["diagnostics"][0]["error_class"] == "DomainError"
+
+
 def test_scan_mostly_failed_cells_exit_3(capsys):
     # above the supported |Im s| every cell fails; partial results are still
     # emitted but the run reports the convergence failure

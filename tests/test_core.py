@@ -24,7 +24,6 @@ from fracsum import (
     frac_power,
     frac_power_derivative,
     frac_power_fn,
-    fractional_sum_derivative,
     fractional_sum_limit,
     fractional_sum_limits,
     half_difference,
@@ -33,7 +32,6 @@ from fracsum import (
     linear_combination,
     log_fn,
     log_gamma,
-    pointwise_fn,
     power_fn,
     riemann_zeta,
     sin_2pi_fn,
@@ -77,6 +75,8 @@ def test_evalfn_domain_enforced():
     with pytest.raises(DomainError):
         f(np.array([1.0, -0.5]))
     assert complex(f(1.0)) == 0.0
+    with pytest.raises(DomainError, match="no analytic derivative"):
+        EvalFn(0.0, np.log, label="log").derivative(1.0)
 
 
 def test_evalfn_passes_eval_a_1d_array():
@@ -102,13 +102,6 @@ def test_evalfn_passes_eval_a_1d_array():
         f(0.0)
     with pytest.raises(DomainError):
         f.derivative(np.array([1.0, -0.5]))
-
-
-def test_pointwise_fn_adapts_arrays():
-    f = pointwise_fn(0.0, lambda x: complex(x * x), lambda x: complex(2 * x))
-    out = f(np.array([1.0, 2.0, 3.0]))
-    assert np.allclose(out, [1.0, 4.0, 9.0])
-    assert complex(f.derivative(2.0)) == 4.0
 
 
 def test_linear_combination_requires_terms():
@@ -214,8 +207,8 @@ def _median_alpha(diffs):
 ])
 def test_flatness_alpha_is_median_of_log_ratios(diffs):
     # f(n) = 0 and f(n + 0.5) = diffs[k] at n = FLATNESS_NS[k]
-    table = dict(zip(FLATNESS_NS, diffs))
-    f = pointwise_fn(0.0, lambda v: table[math.floor(v)] if v % 1 else 0.0)
+    table = np.array(diffs)
+    f = EvalFn(0.0, lambda v: np.where(v % 1, table[np.searchsorted(FLATNESS_NS, v // 1)], 0.0))
     (sample,) = flatness_probe(f, (0.5,)).samples
     assert sample.diffs == diffs
     assert {type(v) for v in sample.diffs} == {float}
@@ -308,7 +301,8 @@ def test_summand_that_is_not_flat_has_no_limit():
     with pytest.raises(ConvergenceError, match="not flat"):
         fractional_sum_limit(power_fn(-1.5), 0.5, SummationConfig(strict=True))
     with pytest.raises(ConvergenceError, match="not flat"):
-        fractional_sum_derivative(power_fn(-1.5), 0.5, SummationConfig(strict=True))
+        fractional_sum_limits(power_fn(-1.5), [0.5], SummationConfig(strict=True),
+                              derivative=True)[0]
 
 
 def test_estimate_keeps_a_rounding_floor():
@@ -333,6 +327,9 @@ def test_limit_stops_once_its_floor_tops_abs_tol():
 def test_domain_checks():
     with pytest.raises(DomainError):
         fractional_sum_limit(log_fn(), -1.0)
+    for x in (-1.0, np.array([0.5, -1.5])):
+        with pytest.raises(DomainError, match="x > -1"):
+            frac_power_derivative(x, 2.0)
     with pytest.raises(DomainError):
         fractional_sum_limit(EvalFn(0.5, lambda x: x), 0.5)
     # NaN and +inf pass an ``x <= -1`` test and would reach the node ranges
@@ -370,7 +367,7 @@ def test_fractional_sum_derivative_matches_closed_form():
     # d/dx sum_1^x v^(-s) = frac_power_derivative, at reduced and shifted x
     for s in (0.7 + 0j, 1.6 - 2j):
         for x in (-0.5, 0.0, 0.5, 3.0, 7.25):
-            res = fractional_sum_derivative(power_fn(s), x)
+            res = fractional_sum_limits(power_fn(s), [x], derivative=True)[0]
             assert res.converged
             assert abs(res.value - frac_power_derivative(x, s)) < 1e-8
 
@@ -478,7 +475,7 @@ def test_batch_without_limits_or_shift_nodes():
     assert fractional_sum_limits(f, []) == []
     shifted = fractional_sum_limits(f, [0.5, -0.5], derivative=True)
     assert [r.value for r in shifted] == \
-        [fractional_sum_derivative(f, x).value for x in (0.5, -0.5)]
+        [fractional_sum_limits(f, [x], derivative=True)[0].value for x in (0.5, -0.5)]
 
 
 # ------------------------------------------------------------ frac_power

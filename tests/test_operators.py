@@ -15,7 +15,6 @@ from fracsum import (
     apply_p,
     apply_x_mult,
     const_fn,
-    continuum_dilation,
     eigenvalue_of,
     forward_difference,
     frac_power_derivative,
@@ -109,6 +108,26 @@ def test_p_vectorized_evaluation():
     vec = num(xs)
     for i, x in enumerate(xs):
         assert vec[i] == complex(num(float(x)))
+
+
+def test_p_numeric_calls_f_once_per_evaluation():
+    # one call on every stencil point, the one-sided ones near the edge
+    # and the central ones elsewhere, each inside the domain
+    f = frac_power_fn(0.7 + 1j)
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        assert np.all(x > f.domain_lo)
+        return f.eval(x)
+
+    num = apply_p(EvalFn(f.domain_lo, counted, None), CFG)
+    xs = np.array([-1.0 + CFG.diff_step, 0.5, -1.0 + 1.5 * CFG.diff_step, 3.0])
+    vec = num(xs)
+    assert calls == [16]
+    for i, x in enumerate(xs):
+        assert vec[i] == complex(num(float(x)))
+    assert calls == [16, 4, 4, 4, 4]
 
 
 # ------------------------------------------------------------------- X
@@ -222,23 +241,6 @@ def test_R_matches_closed_form_single_s():
     for x in CFG.sample_grid:
         closed = eigenvalue_of(s) * complex(f(x)) - 1j * (s - 1.0) * zs
         assert abs(complex(rf(x)) - closed) < 1e-8
-
-
-# ------------------------------------------------------------- dilation
-
-def test_dilation_fixed_points():
-    assert continuum_dilation(0.5) == 0.0
-    assert continuum_dilation(2.0) == 3j
-    lam = continuum_dilation(0.5 + 14.1347j)
-    assert abs(lam - (-2 * 14.1347)) < 1e-12
-    assert lam.imag == 0.0
-
-
-def test_dilation_numeric_companion_check():
-    # the value comes with x^(-s) pushed through the finite-difference pipeline
-    for s in (0.7 + 0j, 0.5 + 2j, 1.5 - 1j):
-        lam = continuum_dilation(s)
-        assert lam == 1j * (2 * s - 1)
 
 
 # --------------------------------------------------------------- config

@@ -19,15 +19,13 @@ HOMES = {
                 "riemann_zeta"},
     "core": {"FLAT", "INCONCLUSIVE", "NOT_FLAT", "EvalFn", "FlatnessReport", "FlatnessSample",
              "FracSumResult", "const_fn", "flatness_probe", "forward_difference", "frac_power",
-             "frac_power_derivative", "frac_power_fn", "fractional_sum_derivative",
-             "fractional_sum_limit", "fractional_sum_limits", "half_difference",
-             "linear_combination", "log_fn", "pointwise_fn", "power_fn", "sin_2pi_fn",
-             "sum_log"},
-    "operators": {"apply_R", "apply_X", "apply_p", "apply_x_mult", "continuum_dilation"},
-    "spectrum": {"EIGEN_TOL", "REALITY_TOL", "BoundaryReport", "EigenCandidate",
-                 "EigenReport", "HalfShiftNorm", "ScanCell", "ZetaZero", "boundary_report",
-                 "eigen_residual", "eigenvalue_of", "find_critical_zeros", "half_shift_norm",
-                 "scan_s_plane"},
+             "frac_power_derivative", "frac_power_fn", "fractional_sum_limit",
+             "fractional_sum_limits", "half_difference", "linear_combination", "log_fn",
+             "power_fn", "sin_2pi_fn", "sum_log"},
+    "operators": {"apply_R", "apply_X", "apply_p", "apply_x_mult"},
+    "spectrum": {"EIGEN_TOL", "REALITY_TOL", "BoundaryReport", "EigenReport", "HalfShiftNorm",
+                 "ScanCell", "ZetaZero", "boundary_report", "eigen_residual", "eigenvalue_of",
+                 "find_critical_zeros", "half_shift_norm", "scan_s_plane"},
 }
 
 
@@ -64,6 +62,8 @@ run = {"bare": loaded(), "dir_lists_all": set(fracsum.__all__) <= set(dir(fracsu
 run["after_dir"] = loaded()
 run["zeta"] = complex(fracsum.riemann_zeta(2.0)).real
 run["after_zeta"] = loaded()
+import fracsum.operators
+run["after_operators"] = loaded()
 run["modules"] = [getattr(fracsum, m).__name__
                   for m in ("errors", "config", "specfun", "core", "operators", "spectrum")]
 print(json.dumps(run))
@@ -82,5 +82,10 @@ def test_import_loads_layers_on_first_use():
     assert abs(run["zeta"] - 1.6449340668482264) < 1e-15
     assert run["after_zeta"] == ["fracsum", "fracsum.config", "fracsum.errors",
                                  "fracsum.specfun"]
+    # the layers import downward only: the operators do not load spectrum
+    assert run["after_operators"] == ["fracsum", "fracsum.config", "fracsum.core",
+                                      "fracsum.errors", "fracsum.operators",
+                                      "fracsum.specfun"]
     assert run["modules"] == ["fracsum.errors", "fracsum.config", "fracsum.specfun",
                               "fracsum.core", "fracsum.operators", "fracsum.spectrum"]
+

@@ -220,6 +220,14 @@ def test_hurwitz_rejects_pole_and_bad_a():
         hurwitz_zeta(2.0, 0.0)
     with pytest.raises(DomainError):
         hurwitz_zeta(2.0, -1.5)
+    for a in (math.inf, math.nan, np.array([1.0, math.inf])):
+        with pytest.raises(DomainError, match="a must be finite"):
+            hurwitz_zeta(2.0, a)
+    # an array of s takes one scalar a, and a 1-D s
+    for s, a in ((np.array([2.0, 3.0]), np.array([1.0, 2.0])),
+                 (np.array([[2.0, 3.0]]), 1.0)):
+        with pytest.raises(DomainError, match="1-D s and a scalar a"):
+            hurwitz_zeta(s, a)
 
 
 def test_hurwitz_error_bound_and_em_terms_self_consistency():
@@ -469,6 +477,10 @@ def test_tail_outside_validity_raises():
     # far outside the tail's reach the evaluation must refuse, not lie
     with pytest.raises((ConvergenceError, DomainError)):
         hurwitz_zeta(-60.0, 1.0)
+    # Re s in (-48, -25]: the series is valid but its first omitted term
+    # has no bound
+    with pytest.raises(ConvergenceError, match="remainder bound unavailable"):
+        hurwitz_zeta(-30.0, 1.0)
     # points with a >= em_terms take no explicit terms; the tail gate still
     # judges them at their own w = a, alone and beside other points
     for a in (60.0, np.array([1.0, 60.0, 500.0])):

@@ -9,7 +9,6 @@ from fracsum import (
     CancellationWarning,
     ConvergenceError,
     DomainError,
-    EigenCandidate,
     PoleError,
     ZetaZero,
     boundary_report,
@@ -468,6 +467,15 @@ def test_scan_rejects_left_half_plane():
         scan_s_plane((-0.5, 0.5), (0.0, 1.0), 3, 3)
     with pytest.raises(DomainError):
         scan_s_plane((0.0, 0.5), (0.0, 1.0), 3, 3)
+    # reversed ranges, an empty axis, and grids just over the cell cap,
+    # which are refused before any array is built
+    for re_range, im_range, n_re, n_im in (((0.4, 0.2), (1.0, 2.0), 3, 3),
+                                           ((0.2, 0.4), (2.0, 1.0), 3, 3),
+                                           ((0.2, 0.4), (1.0, 2.0), 0, 3),
+                                           ((0.2, 0.4), (1.0, 2.0), 1001, 1000),
+                                           ((0.2, 0.4), (1.0, 2.0), 10 ** 6 + 1, 1)):
+        with pytest.raises(DomainError):
+            spectrum.scan_columns(re_range, im_range, n_re, n_im)
 
 
 # ------------------------------------------------------- half-shift norm
@@ -513,6 +521,9 @@ def test_half_shift_norm_domain():
         half_shift_norm(0.75, 50.0)
     with pytest.raises(DomainError):
         half_shift_norm(0.75, 400.0, quad_points=10)
+    # above the cap, refused before any array is built
+    with pytest.raises(DomainError, match="1000000"):
+        half_shift_norm(0.75, 400.0, quad_points=10 ** 6 + 1)
 
 
 # -------------------------------------------------------------- reality
@@ -543,24 +554,6 @@ def test_zero_eigen_correspondence():
         s = complex(re, rng.uniform(0.5, 55.0))
         rep = eigen_residual(s, include_numeric=False)
         assert rep.analytic_residual > 1e-2
-
-
-# -------------------------------------------------------------- candidates
-
-def test_eigen_candidate_eval():
-    cand = EigenCandidate(alpha=1.0, beta=0.0, s=2.0)
-    f = cand.as_eval_fn()
-    assert abs(complex(f(0.0))) == 0.0
-    assert abs(complex(f(1.0)) - 1.0) < 1e-12
-    shifted = EigenCandidate(alpha=2.0, beta=1j, s=1.5)
-    g = shifted.as_eval_fn()
-    assert abs(complex(g(0.0)) - 1j) < 1e-14
-
-
-def test_eigen_candidate_validation():
-    with pytest.raises(DomainError):
-        EigenCandidate(alpha=1.0, beta=0.0, s=-0.5)
-    EigenCandidate(alpha=0.0, beta=2.0, s=-0.5)  # pure constant is fine
 
 
 def test_zeta_zero_is_frozen_record():

@@ -78,10 +78,26 @@ def test_operator_suite_uses_spec_cfg():
     assert measure(operator_suite(0)) != direct
 
 
-
 @pytest.mark.parametrize("x, s", [(-0.5, 0.2 + 5j), (-0.5, 2.4 - 5j), (2.806, 0.263 - 3.081j)])
 def test_derivative_reference_is_below_its_rounding_noise(x, s):
     # corners of the derivative check's draws: at a step of 1e-5 the
     # reference's rounding noise alone is 6e-10 .. 1.4e-9 here
     ref = verify._richardson_diff(lambda u: frac_power(u, s), x)[0]
     assert abs(ref - frac_power_derivative(x, s)) < 1e-10
+
+
+@pytest.mark.parametrize("s", [0.5, 2.0, 0.7, 0.5 + 2j, 1.5 - 1j, 0.5 + 14.1347j])
+def test_dilation_defect_is_small(s):
+    # x p + p x on x^(-s), both p's by finite differences, gives i(2s-1)
+    assert verify._dilation_defect(s) < 1e-6
+
+
+def test_dilation_check_reports_its_defect():
+    (check,) = [c for c in operator_suite(0) if c.name == "continuum_dilation_eigenvalue"]
+    assert check.passed and check.tolerance == 1e-6
+    assert 0.0 < check.measure == verify._dilation_defect(0.6 + 1.5j) < 1e-9
+
+
+def test_unknown_suite_is_refused():
+    with pytest.raises(ValueError, match="unknown suite"):
+        run_suite("bogus")
