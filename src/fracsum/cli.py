@@ -77,10 +77,14 @@ _encode_leaf = json.JSONEncoder().encode
 _ROWS_MARK = "\0fracsum rows\0"
 
 
+_ROWS_BLOCK = 512
+
+
 class _Rows:
     """A list of flat dicts held as columns: the str keys (plain names
     without "%"), and one 1-D numpy array per key, of floats, of bools or
-    of str objects.  Iterating gives the row dicts, of Python values."""
+    of str objects.  Iterating gives the row dicts, of Python values, made
+    _ROWS_BLOCK rows at a time."""
 
     def __init__(self, keys, columns) -> None:
         self.keys, self.columns = tuple(keys), list(columns)
@@ -89,10 +93,9 @@ class _Rows:
         return len(self.columns[0])
 
     def __iter__(self):
-        return (dict(zip(self.keys, row)) for row in zip(*(c.tolist() for c in self.columns)))
-
-
-_ROWS_BLOCK = 512
+        for lo in range(0, len(self), _ROWS_BLOCK):
+            block = (c[lo:lo + _ROWS_BLOCK].tolist() for c in self.columns)
+            yield from (dict(zip(self.keys, row)) for row in zip(*block))
 
 
 def _column_text(col):
@@ -124,9 +127,9 @@ def _numbers_text(values):
     return _encode_leaf(values)[1:-1].split(", ")
 
 
-def _rows_parts(rows: _Rows, out: list, pad: str) -> None:
-    """Append the text of json.dumps(list(rows), indent=2), one piece per
-    block of _ROWS_BLOCK rows.
+def _rows_parts(rows: _Rows, texts: list, pad: str):
+    """The text of json.dumps(list(rows), indent=2), one piece per block of
+    _ROWS_BLOCK rows, from the _column_text of each column.
 
     A block is one flat list of every row's separators and value texts,
     joined once: the separators stay in place from block to block, and
@@ -134,31 +137,32 @@ def _rows_parts(rows: _Rows, out: list, pad: str) -> None:
     """
     n = len(rows)
     if not n:
-        out.append("[]")
+        yield "[]"
         return
     inner, item = pad + "  ", pad + "    "
     keys = [_encode_leaf(k) + ": " for k in rows.keys]
     seps = [",\n" + inner + "{\n" + item + keys[0],
             *(",\n" + item + k for k in keys[1:]), "\n" + inner + "}"]
     stride = len(seps) + len(keys)  # a row: seps[0], text, seps[1], ..., text, seps[-1]
-    texts = [_column_text(col) for col in rows.columns]
     flat = [piece for sep in seps for piece in (sep, None)][:-1] * min(n, _ROWS_BLOCK)
-    head = len(out)
     for lo in range(0, n, _ROWS_BLOCK):
         del flat[stride * (n - lo):]  # the last block may be short
         for j, text in enumerate(texts):
             flat[2 * j + 1::stride] = text(slice(lo, lo + _ROWS_BLOCK))
-        out.append("".join(flat))
-    out[head] = "[" + out[head][1:]
-    out.append("\n" + pad + "]")
+        block = "".join(flat)
+        yield block if lo else "[" + block[1:]
+    yield "\n" + pad + "]"
 
 
-def _json_parts(value, out: list) -> None:
-    """Append the text of json.dumps(value, indent=2) to out, in pieces.
+def _json_parts(value):
+    """The text of json.dumps(value, indent=2), as an iterator of pieces.
 
     A complex is written as {"re", "im"}, and each _Rows as its list of row
-    dicts by _rows_parts, spliced in where json wrote _ROWS_MARK.  Anything
-    else json cannot encode raises its TypeError.
+    dicts by _rows_parts, spliced in where json wrote _ROWS_MARK.  Every
+    check that can refuse the value runs before this returns, so a refused
+    value yields nothing: json's TypeError on what it cannot encode, the
+    ValueError of a string equal to the mark, and the TypeError of a row
+    column _column_text refuses.
     """
     tables = []
 
@@ -173,11 +177,15 @@ def _json_parts(value, out: list) -> None:
     pieces = json.dumps(value, indent=2, default=plain).split(_encode_leaf(_ROWS_MARK))
     if len(pieces) != len(tables) + 1:
         raise ValueError("a string in the value equals the row-table mark")
-    out.append(pieces[0])
-    for rows, before, after in zip(tables, pieces, pieces[1:]):
-        line = before.rpartition("\n")[2]
-        _rows_parts(rows, out, line[:len(line) - len(line.lstrip(" "))])
-        out.append(after)
+    texts = [[_column_text(col) for col in rows.columns] for rows in tables]
+
+    def parts():
+        yield pieces[0]
+        for rows, cols, before, after in zip(tables, texts, pieces, pieces[1:]):
+            line = before.rpartition("\n")[2]
+            yield from _rows_parts(rows, cols, line[:len(line) - len(line.lstrip(" "))])
+            yield after
+    return parts()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,15 +423,15 @@ _HANDLERS = {
 
 def _emit(record: dict, fmt: str) -> None:
     if fmt == "json":
-        # the bytes of print(json.dumps(record, indent=2)), written piece by
-        # piece (a table's piece is a block of rows) so that the whole text
-        # is never one more string; a value json cannot encode raises
-        # before any is written
-        parts: list[str] = []
-        _json_parts(record, parts)
-        parts.append("\n")
-        for part in parts:
-            sys.stdout.write(part)
+        # the bytes of print(json.dumps(record, indent=2)), each piece (a
+        # table's piece is a block of rows) written as soon as it is made,
+        # so at most one block of a table's text is held; a record that is
+        # refused raises before any is written.  sys.stdout is looked up
+        # here, as a caller may have replaced it.
+        out = sys.stdout
+        for part in _json_parts(record):
+            out.write(part)
+        out.write("\n")
         return
     print(f"fracsum {record['command']}  (schema {record['schema_version']})")
     for key, val in record["inputs"].items():
@@ -446,16 +454,17 @@ def _render(val) -> str:
 
 def _render_results(results: dict, indent: str) -> None:
     for key, val in results.items():
-        if isinstance(val, _Rows):
-            val = list(val)
-        if isinstance(val, list) and val and isinstance(val[0], dict):
-            print(f"{indent}{key}:")
+        if isinstance(val, _Rows):  # its rows are made a block at a time
+            cols = val.keys
+        elif isinstance(val, list) and val and isinstance(val[0], dict):
             cols = list(val[0].keys())
-            print(f"{indent}  " + " | ".join(cols))
-            for row in val:
-                print(f"{indent}  " + " | ".join(_render(row[c]) for c in cols))
         else:
             print(f"{indent}result  {key} = {_render(val)}")
+            continue
+        print(f"{indent}{key}:")
+        print(f"{indent}  " + " | ".join(cols))
+        for row in val:
+            print(f"{indent}  " + " | ".join(_render(row[c]) for c in cols))
 
 
 def _join_complex_values(argv: list[str]) -> list[str]:

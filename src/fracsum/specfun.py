@@ -59,6 +59,10 @@ LOG_GAMMA_ULPS = 4.0
 # with the argument array (at 2048, the ~2k-point Hardy-Z grid of a zero
 # search raised its peak RSS by about 2 MB)
 _HURWITZ_BLOCK = 256
+# points per block of the Euler-Maclaurin tail and its estimates; 256-point
+# blocks took the 8241-point scan grid from 5 to 10 ms and the 2001-point
+# Hardy-Z grid from 4.2 to 5.4 ms, 4096-point blocks neither
+_TAIL_BLOCK = 4096
 
 # B_0 .. B_64 (B_k = 0 for odd k > 1): the exact rationals of the recurrence
 # sum_{j=0}^{m} C(m+1, j) B_j = 0, each rounded once to a float.  The naive
@@ -153,8 +157,8 @@ def hurwitz_zeta_with_error(s, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     Only points with a < em_terms sum em_terms explicit terms (tail at
     w = a + em_terms); the rest start the tail at w = a.  The tail costs one
     complex power w^(-s) per point.  The explicit sum runs over blocks of
-    _HURWITZ_BLOCK points, so its (block x em_terms) temporaries stay
-    bounded however long the array is.
+    _HURWITZ_BLOCK points and the tail over blocks of _TAIL_BLOCK points,
+    so their temporaries stay bounded however long the array is.
     """
     value, each, rounding = _hurwitz_kernel(s, a, cfg)
     if isinstance(each, np.ndarray):  # an array of s, an estimate per point
@@ -289,58 +293,85 @@ def _hurwitz_kernel(s, a, cfg: SpecFunConfig):
     # sum_j B_2j/(2j)! (s)_{2j-1} w^(-s-2j+1) are e/w times a polynomial in
     # 1/w^2, summed by Horner.  Rising factorial and factorial are updated
     # incrementally; for an array of s they are arrays over s, multiplied
-    # by _cmul so that each keeps the bits of its scalar s.
-    coef = []
-    poch = s
-    fact = 1.0
-    for j in range(1, order + 1):
-        fact *= (2 * j) * (2 * j - 1)
-        if j > 1 and batch:
-            poch = _cmul(poch, _cmul(s + 2 * j - 3, s + 2 * j - 2))
-        elif j > 1:
-            poch *= (s + 2 * j - 3) * (s + 2 * j - 2)
-        coef.append(_BERNOULLI[2 * j] / fact * poch)
-    inv_w = 1.0 / w
-    inv_w2 = inv_w * inv_w
-    series = coef[-1]
-    for c in reversed(coef[:-1]):
-        series = series * inv_w2 + c
-    with np.errstate(over="ignore", invalid="ignore"):
-        tail = np.exp(-s * np.log(w)) * (w / (s - 1) + 0.5 + series * inv_w)
-        lost = ~np.isfinite(tail)
-        if lost.any():  # w / (s - 1) overflowed; w^(1-s) / (s - 1) may not
-            np.copyto(tail, np.exp((1 - s) * np.log(w)) / (s - 1)
-                      + np.exp(-s * np.log(w)) * (0.5 + series * inv_w), where=lost)
-    value += tail
-    del tail, lost  # so that the bound's temporaries can reuse their memory
-
-    # First omitted term, largest at the smallest w because its power
-    # w^(-sigma-2M-1) falls with w.  It only sizes the bound, so numpy's
-    # product may change its last bit.
-    poch_next = poch * (s + 2 * order - 1) * (s + 2 * order)
-    fact_next = fact * (2 * order + 2) * (2 * order + 1)
+    # by _cmul so that each keeps the bits of its scalar s.  The tail, and
+    # the truncation estimate from the first omitted term, run over blocks
+    # of _TAIL_BLOCK points of the array argument, so their dozen
+    # coefficient arrays and the temporaries of the Horner sum and the
+    # powers stay near 1 MB however long the array is.  A block's complex
+    # temporaries (64 KB) stay below the 256 KB from which numpy multiplies
+    # temporaries in place, by a loop whose last bit may differ: every
+    # product of a tail takes the loop it takes in a scalar call.
     if re_min + 2 * order + 1 <= 0:
         raise ConvergenceError("Euler-Maclaurin remainder bound unavailable: "
                                "sigma + 2M + 1 <= 0")
-    sigma_shift = s.real + 2 * order + 1
-    kappa = abs(s + 2 * order + 1) / sigma_shift  # >= 1, as |z| >= Re z
-    each = (abs(_BERNOULLI[2 * order + 2] / fact_next) * abs(poch_next) * kappa
-            * float(w.min()) ** (-sigma_shift))
+    w_min = float(w.min())
+    each = np.empty(s.size) if batch else None
+    for lo in range(0, value.size, _TAIL_BLOCK):
+        part = slice(lo, lo + _TAIL_BLOCK)
+        sp, wp = (s[part], w) if batch else (s, w[part])
+        coef = []
+        poch = sp
+        fact = 1.0
+        for j in range(1, order + 1):
+            fact *= (2 * j) * (2 * j - 1)
+            if j > 1 and batch:
+                poch = _cmul(poch, _cmul(sp + 2 * j - 3, sp + 2 * j - 2))
+            elif j > 1:
+                poch *= (sp + 2 * j - 3) * (sp + 2 * j - 2)
+            coef.append(_BERNOULLI[2 * j] / fact * poch)
+        inv_w = 1.0 / wp
+        inv_w2 = inv_w * inv_w
+        series = coef[-1]
+        for c in reversed(coef[:-1]):
+            series = series * inv_w2 + c
+        with np.errstate(over="ignore", invalid="ignore"):
+            tail = np.exp(-sp * np.log(wp)) * (wp / (sp - 1) + 0.5 + series * inv_w)
+            lost = ~np.isfinite(tail)
+            if lost.any():  # w / (s - 1) overflowed; w^(1-s) / (s - 1) may not
+                np.copyto(tail, np.exp((1 - sp) * np.log(wp)) / (sp - 1)
+                          + np.exp(-sp * np.log(wp)) * (0.5 + series * inv_w), where=lost)
+        value[part] += tail
+
+        # First omitted term, largest at the smallest w because its power
+        # w^(-sigma-2M-1) falls with w.  It only sizes the bound, so numpy's
+        # product may change its last bit.  For a scalar s every block
+        # gives the same estimate.
+        poch_next = poch * (sp + 2 * order - 1) * (sp + 2 * order)
+        fact_next = fact * (2 * order + 2) * (2 * order + 1)
+        sigma_shift = sp.real + 2 * order + 1
+        kappa = abs(sp + 2 * order + 1) / sigma_shift  # >= 1, as |z| >= Re z
+        estimate = (abs(_BERNOULLI[2 * order + 2] / fact_next) * abs(poch_next) * kappa
+                    * w_min ** (-sigma_shift))
+        if batch:
+            each[part] = estimate
+        else:
+            each = estimate
+
     # Rounding floor: each power carries a phase error ~ eps |s| log(base)
     # scaled by the largest term magnitude (the first term at sigma >= 0,
-    # the last explicit one below).  Unlike the truncation this is not
-    # reducible by em_terms, so it widens the reported bound but does not
-    # trip the convergence gate.
+    # the last explicit one below, or the largest |value| of the call).
+    # Unlike the truncation this is not reducible by em_terms, so it widens
+    # the reported bound but does not trip the convergence gate.  For an
+    # array of s it is taken over the same blocks, after the last value.
     amin, amax = float(arr.min()), float(arr.max())
-    sigma = s.real
-    try:
-        peak = top(top(amin ** (-sigma), (n_terms - 1 + amax) ** (-sigma)),
-                   top((n_terms + amax) ** (1.0 - sigma) / abs(s - 1.0),
-                       float(np.abs(value).max())))
-    except OverflowError:  # a Python float power (scalar s); numpy's is inf
-        peak = math.inf
-    phase = abs(s) * math.log(n_terms + amax)
-    rounding = 4.0 * np.finfo(float).eps * (1.0 + phase) * peak
+    value_max = float(np.abs(value).max())
+
+    def floor(sp):
+        sigma = sp.real
+        try:
+            peak = top(top(amin ** (-sigma), (n_terms - 1 + amax) ** (-sigma)),
+                       top((n_terms + amax) ** (1.0 - sigma) / abs(sp - 1.0), value_max))
+        except OverflowError:  # a Python float power (scalar s); numpy's is inf
+            peak = math.inf
+        phase = abs(sp) * math.log(n_terms + amax)
+        return 4.0 * np.finfo(float).eps * (1.0 + phase) * peak
+
+    if batch:
+        rounding = np.empty(s.size)
+        for lo in range(0, s.size, _TAIL_BLOCK):
+            rounding[lo:lo + _TAIL_BLOCK] = floor(s[lo:lo + _TAIL_BLOCK])
+    else:
+        rounding = floor(s)
     return value if batch else back(value), each, rounding
 
 

@@ -3,11 +3,13 @@
 Nothing here shares code paths with the package: zeta values come from an
 alternating-series acceleration or from scipy, gamma from the
 harmonic-number limit, digamma from its defining series, and derivatives
-from finite differences.
+from finite differences.  ``traced_peak`` measures memory with the
+standard library's tracemalloc, which numpy reports its arrays to.
 """
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -96,3 +98,16 @@ def richardson_diff(fn, x: float, h: float = 3e-4) -> complex:
     d1 = (fn(x + h) - fn(x - h)) / (2.0 * h)
     d2 = (fn(x + h / 2.0) - fn(x - h / 2.0)) / h
     return (4.0 * d2 - d1) / 3.0
+
+
+def traced_peak(fn):
+    """fn() and the peak of the memory traced while it ran, in bytes, above
+    what was traced when it started."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

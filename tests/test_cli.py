@@ -12,6 +12,7 @@ from fracsum import (OperatorConfig, SpecFunConfig, SummationConfig, cli, core, 
                      specfun, spectrum)
 from fracsum.specfun import TARGET_ABS_TOL, hurwitz_zeta, hurwitz_zeta_with_error
 from fracsum.cli import main, parse_complex, read_records_csv
+from oracles import traced_peak
 
 
 def run_cli(capsys, *argv):
@@ -488,6 +489,22 @@ def test_table_golden_eval_complex_input(capsys):
     )
 
 
+def test_table_scan_rows_match_the_json_cells(capsys):
+    # a scan's rows are made a block at a time: 2501 rows, the pole cell's
+    # NaN fields among them, fill four blocks and part of a fifth
+    argv = ("scan", "0.9", "1.1", "-0.5", "0.5", "41", "61")
+    _, rec = run_json(capsys, *argv)
+    cells = rec["results"]["cells"]
+    code, out = run_table(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("  cells:")
+    assert lines[at + 1] == "    " + " | ".join(cells[0])
+    assert lines[at + 2:at + 2 + len(cells)] == [
+        "    " + " | ".join(cli._render(v) for v in cell.values()) for cell in cells]
+    assert lines[at + 2 + len(cells)].startswith("  timing_ms")
+
+
 def test_table_golden_zeros_rows(capsys):
     _, rec = run_json(capsys, "zeros", "14", "15")
     row = rec["results"]["zeros"][0]
@@ -586,9 +603,7 @@ def _complex_json(value):
 
 
 def to_json(value):
-    parts = []
-    cli._json_parts(value, parts)
-    return "".join(parts)
+    return "".join(cli._json_parts(value))
 
 
 @pytest.mark.parametrize("value", [
@@ -644,15 +659,61 @@ def test_json_writer_on_rows(n):
 def test_json_writer_refuses_a_string_equal_to_its_mark():
     rows = cli._Rows(("x",), [np.array([0.5])])
     for value in ({"note": cli._ROWS_MARK, "cells": rows}, {cli._ROWS_MARK: rows}):
-        parts = []
-        with pytest.raises(ValueError):
-            cli._json_parts(value, parts)
-        assert parts == []
+        with pytest.raises(ValueError):  # before any piece is made
+            cli._json_parts(value)
 
 
 def test_json_writer_refuses_a_row_column_mixing_str():
     with pytest.raises(TypeError):
         to_json(cli._Rows(("flag",), [np.array(["ok", 1.0], dtype=object)]))
+
+
+@pytest.mark.parametrize("results", [
+    {"cells": cli._Rows(("x",), [np.array([0.5])]), "note": cli._ROWS_MARK},
+    {"cells": cli._Rows(("x",), [np.array([0.5])]),
+     "more": cli._Rows(("flag",), [np.array(["ok", 1.0], dtype=object)])},
+    {"cells": cli._Rows(("x",), [np.array([0.5])]), "n": np.int64(3)},
+])
+def test_refused_record_writes_nothing(capsys, results):
+    # the record is written piece by piece, after every check that can
+    # refuse it: the mark, each row column, and what json cannot encode
+    record = {"schema_version": "1", "command": "scan", "inputs": {}, "results": results,
+              "diagnostics": [], "timing_ms": 0.0}
+    with pytest.raises((TypeError, ValueError)):
+        cli._emit(record, "json")
+    assert capsys.readouterr().out == ""
+
+
+class _CountingStdout:
+    """A stdout that keeps only how many characters were written to it."""
+
+    def __init__(self):
+        self.n = 0
+
+    def write(self, text):
+        self.n += len(text)
+
+
+def test_large_scan_record_is_written_a_block_at_a_time(monkeypatch, tmp_path):
+    # 10^5 cells: 31 MB of JSON and 12 MB of CSV.  Each writer holds its
+    # columns and one block of rows, not the whole text: the JSON writer
+    # peaked at 1.2x the record and the CSV writer at 1.8x the file while
+    # they held every row at once
+    records = []
+    monkeypatch.setattr(cli, "_emit", lambda record, fmt: records.append(record))
+    assert main(["scan", "0.1", "0.9", "10", "30", "250", "400"]) == 0
+    monkeypatch.undo()
+    (record,) = records
+    stdout = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    _, peak = traced_peak(lambda: cli._emit(record, "json"))
+    monkeypatch.undo()
+    assert stdout.n > 3e7
+    assert peak < 0.5 * stdout.n
+    csv = tmp_path / "scan.csv"
+    _, peak = traced_peak(lambda: cli._write_csv(str(csv), cli.SCAN_CSV_COLUMNS,
+                                                 record["results"]["cells"]))
+    assert peak < 0.25 * csv.stat().st_size
 
 
 def test_json_writer_on_scan_record(capsys):

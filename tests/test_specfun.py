@@ -33,6 +33,7 @@ from oracles import (
     harmonic_euler_gamma,
     partial_sum_zeta_bracket,
     scipy_hurwitz_zeta,
+    traced_peak,
 )
 
 T_FIRST_ZERO = 14.1347251417
@@ -121,6 +122,37 @@ def test_hurwitz_vectorized_matches_scalar():
     vec = hurwitz_zeta(line, 1.0)[upper]
     assert vec.tobytes() == np.array([hurwitz_zeta(complex(si), 1.0)
                                       for si in line[upper]]).tobytes()
+    # the same past 16384 values of a, with and without explicit terms;
+    # the tail blocks keep every temporary below 256 KB
+    a = np.linspace(0.05, 400.0, 16400)
+    vec = hurwitz_zeta(s, a)
+    assert vec.tobytes() == np.array([hurwitz_zeta(s, ai) for ai in a.tolist()]).tobytes()
+
+
+def test_hurwitz_kernel_slices_match_the_whole_call():
+    # the tail runs in blocks of specfun._TAIL_BLOCK points; calls over
+    # slices whose blocks end elsewhere give each point the value and the
+    # truncation estimate it has in one call over the whole line
+    line = 0.5 + 1j * np.linspace(0.0119, 100.0, 20000)
+    value, each, _ = specfun._hurwitz_kernel(line, 1.0, specfun.DEFAULT_SPECFUN)
+    edges = [0, 3000, 9001, 20000]
+    parts = [specfun._hurwitz_kernel(line[lo:hi], 1.0, specfun.DEFAULT_SPECFUN)
+             for lo, hi in zip(edges, edges[1:])]
+    assert all(lo % specfun._TAIL_BLOCK for lo in edges[1:-1])
+    assert value.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
+    assert each.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
+
+
+@pytest.mark.parametrize("s,a", [
+    (0.5 + 1j * np.linspace(0.0119, 100.0, 50000), 1.0),
+    (0.7 - 4j, np.linspace(0.05, 200.0, 50000)),
+])
+def test_hurwitz_kernel_memory_stays_a_few_blocks(s, a):
+    # the explicit sum and the tail run in blocks, so the kernel's traced
+    # peak is its outputs and a fixed amount: 1.7x and 2.2x its outputs
+    # here, where the tail over the whole array took 10x and 6.8x
+    out, peak = traced_peak(lambda: specfun._hurwitz_kernel(s, a, specfun.DEFAULT_SPECFUN))
+    assert peak < 4 * sum(np.asarray(o).nbytes for o in out)
 
 
 def test_hurwitz_tail_near_float_max():
