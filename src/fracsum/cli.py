@@ -20,11 +20,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, replace
 
 import numpy as np
 
 from .config import (
+    DEFAULT_OPERATOR,
+    DEFAULT_SPECFUN,
+    DEFAULT_SUMMATION,
     MAX_QUAD_POINTS,
     MAX_SCAN_CELLS,
     OperatorConfig,
@@ -201,14 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="raise on non-converged limits (default: on)")
     common.add_argument("--abs-tol", type=float, default=argparse.SUPPRESS,
                         help="summation-limit tolerance "
-                             f"(default: {SummationConfig.abs_tol})")
+                             f"(default: {DEFAULT_SUMMATION.abs_tol})")
     common.add_argument("--diff-step", type=float, default=argparse.SUPPRESS,
                         help="finite-difference step for p "
-                             f"(default: {OperatorConfig.diff_step})")
+                             f"(default: {DEFAULT_OPERATOR.diff_step})")
     common.add_argument("--em-terms", type=int, default=argparse.SUPPRESS,
                         help="explicit terms before the Euler-Maclaurin tail, "
                              "taken only by Hurwitz points with a below it "
-                             f"(default: {SpecFunConfig.em_terms})")
+                             f"(default: {DEFAULT_SPECFUN.em_terms})")
     common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
                         help="accepted for compatibility; has no effect")
 
@@ -344,10 +346,10 @@ def _cmd_verify(args, cfgs, diagnostics):
     op_cfg, spec_cfg = cfgs
     # verification always measures leniently (see README): each check
     # reports the defect its limits reached, converged or not
-    op_cfg = replace(op_cfg, sum_cfg=replace(op_cfg.sum_cfg, strict=False))
+    op_cfg = op_cfg._replace(sum_cfg=op_cfg.sum_cfg._replace(strict=False))
     from .verify import run_suite
     checks = run_suite(args.suite, args.seed, op_cfg, spec_cfg)
-    rows = [asdict(c) for c in checks]
+    rows = [c._asdict() for c in checks]
     failed = [c.name for c in checks if not c.passed]
     for name in failed:
         diagnostics.append({"level": "error", "message": f"property failed: {name}"})

@@ -10,7 +10,7 @@ special functions (``SpecFunConfig``), the summation-limit engine of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import OutOfRangeError
 
@@ -19,9 +19,18 @@ MAX_SCAN_CELLS = 10 ** 6
 #: most quadrature points of one ``spectrum.half_shift_norm``
 MAX_QUAD_POINTS = 10 ** 6
 
+# Each config is an immutable named tuple whose __new__ validates the
+# fields.  namedtuple's _make, and so _replace, builds the tuple without
+# calling __new__; this _make goes through the class, so a replaced field
+# is checked as a constructed one is.
+_checked_make = classmethod(lambda cls, values: cls(*values))
 
-@dataclass(frozen=True)
-class SpecFunConfig:
+
+class _SpecFunFields(NamedTuple):
+    em_terms: int = 50
+
+
+class SpecFunConfig(_SpecFunFields):
     """Tuning knob for the Euler-Maclaurin evaluations.
 
     em_terms  where the tail may start: a Hurwitz point with a < em_terms
@@ -35,18 +44,25 @@ class SpecFunConfig:
     covers the first ~30 critical-line zeros.
     """
 
-    em_terms: int = 50
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.em_terms < 10:
             raise OutOfRangeError(f"em_terms must be >= 10, got {self.em_terms}")
+        return self
 
 
 DEFAULT_SPECFUN = SpecFunConfig()
 
 
-@dataclass(frozen=True)
-class SummationConfig:
+class _SummationFields(NamedTuple):
+    abs_tol: float = 1e-8
+    strict: bool = False
+
+
+class SummationConfig(_SummationFields):
     """Controls the limit engine.
 
     The index schedule is core.SCHEDULE, extended by further doublings up
@@ -59,32 +75,40 @@ class SummationConfig:
     of a diagnostic.
     """
 
-    abs_tol: float = 1e-8
-    strict: bool = False
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.abs_tol > 0:
             raise OutOfRangeError("abs_tol must be positive")
+        return self
 
 
 DEFAULT_SUMMATION = SummationConfig()
 
 
-@dataclass(frozen=True)
-class OperatorConfig:
-    """Differentiation step, summation config, and the default sample grid."""
-
+class _OperatorFields(NamedTuple):
     diff_step: float = 1e-4
-    sum_cfg: SummationConfig = field(default_factory=SummationConfig)
+    sum_cfg: SummationConfig = DEFAULT_SUMMATION
     sample_grid: tuple[float, ...] = (-0.9, -0.5, -0.1, 0.25, 0.5, 1.0, 1.5, 2.5, 5.0, 10.0)
 
-    def __post_init__(self) -> None:
+
+class OperatorConfig(_OperatorFields):
+    """Differentiation step, summation config, and the default sample grid."""
+
+    __slots__ = ()
+    _make = _checked_make
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 1e-7 <= self.diff_step <= 1e-2:
             raise OutOfRangeError(f"diff_step must lie in [1e-7, 1e-2], got {self.diff_step}")
         if not self.sample_grid:
             raise OutOfRangeError("sample_grid must be nonempty")
         if min(self.sample_grid) <= -1.0:
             raise OutOfRangeError("sample_grid entries must exceed -1")
+        return self
 
 
 DEFAULT_OPERATOR = OperatorConfig()

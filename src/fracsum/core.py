@@ -55,8 +55,8 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -82,6 +82,7 @@ _TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
 
 
+# Stays a dataclass: perfbench/tracer.py rewraps one with dataclasses.replace(fn, eval=...)
 @dataclass(frozen=True)
 class EvalFn:
     """A complex-valued function on (domain_lo, inf).
@@ -224,8 +225,7 @@ FLATNESS_NS = (64, 128, 256, 512, 1024, 2048)
 MAX_N = 131072
 
 
-@dataclass(frozen=True)
-class FracSumResult:
+class FracSumResult(NamedTuple):
     """Value of a fractional sum (or of its derivative) plus diagnostics.
 
     ``err_estimate`` is max(|e_k - e_(k-1)|, floor) over the last two
@@ -242,8 +242,7 @@ class FracSumResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class FlatnessSample:
+class FlatnessSample(NamedTuple):
     x: float
     ns: tuple[int, ...]
     diffs: tuple[float, ...]
@@ -251,8 +250,7 @@ class FlatnessSample:
     verdict: str
 
 
-@dataclass(frozen=True)
-class FlatnessReport:
+class FlatnessReport(NamedTuple):
     verdict: str
     samples: tuple[FlatnessSample, ...]
 
@@ -480,7 +478,7 @@ def fractional_sum_limits(f: EvalFn, xs: Sequence[float],
                 f"{what} of {f.label or 'summand'} at x={x} stalled at err ~ "
                 f"{res.err_estimate:.3e} (abs_tol {cfg.abs_tol:.1e}, n up to {res.n_used}){why}"
             )
-        out.append(replace(res, value=res.value + shift))
+        out.append(res._replace(value=res.value + shift))
     return out
 
 

@@ -21,8 +21,7 @@ that a run which needs neither does not load them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -56,8 +55,7 @@ _GRID_STEP = 0.05
 _FIT_RESOLUTION = 10.0
 
 
-@dataclass(frozen=True)
-class ZetaZero:
+class ZetaZero(NamedTuple):
     """A critical-line zero: ordinal index, ordinate t, |zeta(1/2+it)|,
     bracket, and zeta(1/2+it) itself."""
 
@@ -68,8 +66,7 @@ class ZetaZero:
     zeta: complex
 
 
-@dataclass(frozen=True)
-class EigenReport:
+class EigenReport(NamedTuple):
     """Residuals and boundary data for the candidate x^[-s] at one s.
 
     lam is i(2s-1) exactly; is_eigen gates on the analytic residual
@@ -252,8 +249,7 @@ def find_critical_zeros(t_min: float, t_max: float,
         t.tolist(), residual.tolist(), zip(lo.tolist(), hi.tolist()), zeta.tolist()))]
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
+class BoundaryReport(NamedTuple):
     f0: complex
     f_minus_half: complex
     identity_defect: float
@@ -276,8 +272,7 @@ def boundary_report(s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN) -> Boundar
     return BoundaryReport(f0, fmh, abs(fmh - identity))
 
 
-@dataclass(frozen=True)
-class ScanCell:
+class ScanCell(NamedTuple):
     """One grid cell of an s-plane sweep (analytic quantities only)."""
 
     s: complex
@@ -345,15 +340,14 @@ def scan_s_plane(re_range: tuple[float, float], im_range: tuple[float, float],
     cols = scan_columns(re_range, im_range, n_re, n_im, cfg)
     cells = []
     for s, abs_zeta, residual, lam, is_real, flag in zip(
-            *(cols[f.name].tolist() for f in fields(ScanCell))):
+            *(cols[name].tolist() for name in ScanCell._fields)):
         if flag != "ok":  # the one math.nan object, so equal scans compare equal
             abs_zeta = residual = math.nan
         cells.append(ScanCell(s, abs_zeta, residual, lam, is_real, flag))
     return cells
 
 
-@dataclass(frozen=True)
-class HalfShiftNorm:
+class HalfShiftNorm(NamedTuple):
     truncated_norm_sq: float
     decay_exponent: float
 

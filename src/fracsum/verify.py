@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,8 +42,7 @@ from .specfun import riemann_zeta
 from .spectrum import boundary_report, eigenvalue_of
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     measure: float

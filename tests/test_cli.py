@@ -815,3 +815,5 @@ def test_commands_load_only_what_they_use(argv):
     if argv[0] == "scan" or argv == ["zeros", "14", "15"]:
         assert loaded == {"fracsum", "fracsum.cli", "fracsum.config", "fracsum.errors",
                           "fracsum.specfun", "fracsum.spectrum"}
+        # their records are named tuples; only core's EvalFn is a dataclass
+        assert "dataclasses" not in run["at_import"] + run["added"]

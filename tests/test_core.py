@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -102,6 +103,25 @@ def test_evalfn_passes_eval_a_1d_array():
         f(0.0)
     with pytest.raises(DomainError):
         f.derivative(np.array([1.0, -0.5]))
+
+
+def test_evalfn_is_rewrapped_by_dataclasses_replace():
+    # the benchmark's tracer wraps a function's map with
+    # dataclasses.replace(fn, eval=...); the copy keeps every other field
+    f = power_fn(0.5)
+    seen = []
+
+    def traced(x):
+        seen.append(x.size)
+        return f.eval(x)
+
+    g = dataclasses.replace(f, eval=traced)
+    xs = np.array([0.5, 2.0, 7.25])
+    assert (g.domain_lo, g.analytic_derivative, g.label) == \
+        (f.domain_lo, f.analytic_derivative, f.label)
+    assert g(xs).tobytes() == f(xs).tobytes()
+    assert g.derivative(xs).tobytes() == f.derivative(xs).tobytes()
+    assert seen == [3]
 
 
 def test_linear_combination_requires_terms():

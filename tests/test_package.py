@@ -1,12 +1,16 @@
-"""The package namespace: which names ``fracsum`` exports, from where, and
-what ``import fracsum`` loads."""
+"""The package namespace: which names ``fracsum`` exports, from where,
+what ``import fracsum`` loads, and the contract its records keep."""
 
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 import fracsum
+from fracsum import OperatorConfig, OutOfRangeError, SpecFunConfig, SummationConfig
+from fracsum.verify import CheckResult
 
 # each exported name under its home module
 HOMES = {
@@ -89,3 +93,49 @@ def test_import_loads_layers_on_first_use():
     assert run["modules"] == ["fracsum.errors", "fracsum.config", "fracsum.specfun",
                               "fracsum.core", "fracsum.operators", "fracsum.spectrum"]
 
+
+# each immutable record's fields, in order, and the defaults among them
+RECORDS = {
+    SpecFunConfig: (("em_terms",), {"em_terms": 50}),
+    SummationConfig: (("abs_tol", "strict"), {"abs_tol": 1e-8, "strict": False}),
+    OperatorConfig: (("diff_step", "sum_cfg", "sample_grid"),
+                     {"diff_step": 1e-4, "sum_cfg": SummationConfig(),
+                      "sample_grid": (-0.9, -0.5, -0.1, 0.25, 0.5, 1.0, 1.5, 2.5, 5.0, 10.0)}),
+    fracsum.FracSumResult: (("value", "err_estimate", "n_used", "converged"), {}),
+    fracsum.FlatnessSample: (("x", "ns", "diffs", "decay_exponent", "verdict"), {}),
+    fracsum.FlatnessReport: (("verdict", "samples"), {}),
+    fracsum.ZetaZero: (("index", "t", "residual", "bracket", "zeta"), {}),
+    fracsum.EigenReport: (("s", "lam", "zeta_s", "analytic_residual", "numeric_residual",
+                           "boundary_f0", "boundary_fhalf", "is_eigen", "lambda_is_real"), {}),
+    fracsum.BoundaryReport: (("f0", "f_minus_half", "identity_defect"), {}),
+    fracsum.ScanCell: (("s", "abs_zeta", "analytic_residual", "lam", "lambda_is_real",
+                        "flag"), {}),
+    fracsum.HalfShiftNorm: (("truncated_norm_sq", "decay_exponent"), {}),
+    CheckResult: (("name", "passed", "measure", "tolerance", "detail"), {"detail": ""}),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_contract(cls):
+    fields, defaults = RECORDS[cls]
+    assert cls._fields == fields
+    assert cls._field_defaults == defaults
+    rec = cls(*(defaults[f] if f in defaults else k for k, f in enumerate(fields)))
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 1)
+    shown = ", ".join(f"{f}={getattr(rec, f)!r}" for f in fields)
+    assert repr(rec) == f"{cls.__name__}({shown})"
+
+
+@pytest.mark.parametrize("cls, bad", [
+    (SpecFunConfig, {"em_terms": 5}),
+    (SummationConfig, {"abs_tol": 0}),
+    (OperatorConfig, {"diff_step": 1.0}),
+])
+def test_configs_validate_when_built_and_when_replaced(cls, bad):
+    with pytest.raises(OutOfRangeError):
+        cls(**bad)
+    with pytest.raises(OutOfRangeError):
+        cls()._replace(**bad)
+    assert cls()._replace() == cls()
