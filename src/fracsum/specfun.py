@@ -14,20 +14,18 @@ corrections.  That keeps one code path and one error model for
   zeros of zeta on the critical line.
 
 Arguments named ``a``, ``z``, ``t`` or ``x`` accept either a scalar or a
-1-D numpy array and the result matches the input shape.  ``hurwitz_zeta``
-also takes a 1-D array of ``s`` with a scalar ``a``, in the same kernel;
-that is how ``hardy_z`` evaluates zeta over many ``s`` at once.  One
-batch rule holds for every function: a point's value has the same bits
-alone and in any array (``digamma`` and ``log_gamma`` step each point up
-by its own count, see ``_shifted_series``).  The kernel,
-``_hurwitz_kernel``, returns each point's tail estimate and checks no
-target; ``hurwitz_zeta_with_error`` adds the gate that fails the whole
-call.  The strip scan calls the kernel once over its whole grid and flags
-each point that misses the target, with no fallback.  An estimate misses
-unless it is within the target, so a NaN estimate (far up the line the
-Pochhammer factor overflows while the power of w underflows) misses in
-the gate and in the scan alike.  ``riemann_zeta`` stays scalar and
-cached.
+1-D numpy array and the result matches the input shape.  The Hurwitz
+kernel, ``_hurwitz_kernel``, takes the points s x a with one side a single
+value, so ``hurwitz_zeta`` also takes a 1-D array of ``s`` with one ``a``
+(how ``hardy_z`` evaluates zeta over many ``s``).  One batch rule holds
+for every function: a point's value, and a Hurwitz point's tail estimate,
+has the same bits alone and in any array (``digamma`` and ``log_gamma``
+step each point up by its own count, see ``_shifted_series``).  The
+kernel checks no target: ``hurwitz_zeta_with_error`` fails the whole call
+at the first miss, and the strip scan flags each point that misses, with
+no fallback.  An estimate misses unless it is within the target, so a NaN
+estimate (far up the line the Pochhammer factor overflows while the power
+of w underflows) misses in both.  ``riemann_zeta`` stays scalar and cached.
 
 All functions are pure; the only shared state is the constant Bernoulli
 table.
@@ -45,6 +43,7 @@ from .errors import ConvergenceError, DomainError, OutOfRangeError, PoleError
 
 _BERNOULLI_MAX = 64
 _TWO_PI = 2.0 * math.pi
+_EPS = float(np.finfo(float).eps)
 
 
 #: highest Bernoulli index 2M used in the Euler-Maclaurin tail
@@ -89,6 +88,18 @@ _BERNOULLI = (
 )
 
 
+def _em_weights(order: int) -> list:
+    """B_2j / (2j)!, j = 1 .. order + 1, with (2j)! multiplied up in floats."""
+    fact, weights = 1.0, []
+    for j in range(1, order + 1):
+        fact *= (2 * j) * (2 * j - 1)
+        weights.append(_BERNOULLI[2 * j] / fact)
+    return weights + [_BERNOULLI[2 * order + 2] / (fact * (2 * order + 2) * (2 * order + 1))]
+
+
+_EM_WEIGHTS = _em_weights(EM_BERNOULLI_ORDER // 2)
+
+
 def bernoulli_number(k: int) -> float:
     """Bernoulli number B_k for even k in [0, 64] (and B_1 = -1/2).
 
@@ -112,7 +123,7 @@ def _as_1d(x, dtype):
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ConvergenceError(f"{what} produced a non-finite value")
 
 
@@ -133,6 +144,32 @@ def _cmul(x, y):
     return out
 
 
+def _complex(re, im):
+    """The complex number, or array, with parts re and im."""
+    if type(re) is float:
+        return complex(re, im)
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+# |re + i im| and base ** expo by the C library's hypot and pow, as Python
+# takes them, for arrays too (a power once per distinct expo): numpy's
+# complex abs and array power differ in the last bit at about a third and
+# 5% of points (AVX-512 host)
+def _cabs(re, im):
+    return abs(complex(re, im)) if type(re) is float else np.hypot(re, im)
+
+
+def _pow(base: float, expo):
+    if type(expo) is float:
+        return base ** expo
+    if (expo == expo[0]).all():  # one Re s, as on the critical line: no sort
+        return np.full(expo.shape, base ** float(expo[0]))
+    distinct, at = np.unique(expo, return_inverse=True)
+    return np.array([base ** x for x in distinct.tolist()])[at]
+
+
 def _tail_misses(each: np.ndarray) -> np.ndarray:
     """Which of the kernel's tail estimates miss TARGET_ABS_TOL: each one
     not within it, so a NaN estimate misses."""
@@ -142,39 +179,30 @@ def _tail_misses(each: np.ndarray) -> np.ndarray:
 def hurwitz_zeta_with_error(s, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):
     """Hurwitz zeta(s, a) together with the tail-remainder bound actually used.
 
-    Takes a scalar s with a scalar or 1-D array a, or a 1-D array of s with
-    a scalar a; the value has the shape of the array argument.  Returns
-    ``(value, bound)`` where ``bound`` is the largest magnitude over the
-    points of the first omitted Bernoulli correction, each at its own s and
-    tail start w, times the standard |s+2M+1|/(sigma+2M+1) safety factor,
-    plus the largest rounding floor.  The truncation gate fails the whole
-    call at the first point, in order, whose estimate misses the target,
-    a NaN estimate included (such a value carries no known bound); a caller
-    that wants each point judged on its own (the strip scan) takes the
-    kernel's per-point estimates instead.  An empty array gives an empty
-    value and a zero bound.  ``hurwitz_zeta`` is the value-only wrapper.
-
-    Only points with a < em_terms sum em_terms explicit terms (tail at
-    w = a + em_terms); the rest start the tail at w = a.  The tail costs one
-    complex power w^(-s) per point.  The explicit sum runs over blocks of
-    _HURWITZ_BLOCK points and the tail over blocks of _TAIL_BLOCK points,
-    so their temporaries stay bounded however long the array is.
+    Takes the points of ``_hurwitz_kernel``; the value has the shape of the
+    array argument.  Returns ``(value, bound)`` where ``bound`` is the
+    largest magnitude over the points of the first omitted Bernoulli
+    correction, each at its own s and tail start w, times the standard
+    |s+2M+1|/(sigma+2M+1) safety factor, plus the largest rounding floor.
+    The truncation gate fails the whole call at the first point, in order,
+    whose estimate misses the target, a NaN estimate included (such a value
+    carries no known bound); the strip scan takes the kernel's per-point
+    estimates instead.  An empty array gives an empty value and a zero
+    bound.  ``hurwitz_zeta`` is the value-only wrapper.
     """
     value, each, rounding = _hurwitz_kernel(s, a, cfg)
-    if isinstance(each, np.ndarray):  # an array of s, an estimate per point
-        # the first point that misses, as scalar calls in order would
-        miss = np.flatnonzero(_tail_misses(each))
-        at = (float(each[miss[0]]), complex(np.ravel(s)[miss[0]])) if miss.size else None
-        each, rounding = float(each.max(initial=0.0)), float(rounding.max(initial=0.0))
-    else:  # the same rule on a Python float, at a fraction of numpy's cost
-        at = (each, complex(s)) if not each <= TARGET_ABS_TOL else None
-    if at:
-        raise ConvergenceError(
-            f"Euler-Maclaurin tail estimate {at[0]:.3e} misses target "
-            f"{TARGET_ABS_TOL:.3e} for s={at[1]}; raise em_terms or the order"
-        )
-    _require_finite(value, "hurwitz_zeta")
-    return value, each + rounding
+    if not each.size:
+        return value, 0.0
+    worst = each.max()  # NaN where any estimate is
+    if _tail_misses(worst):  # the first s that misses, as scalar calls in order would
+        at = np.flatnonzero(_tail_misses(each))[0]
+        raise ConvergenceError(f"Euler-Maclaurin tail estimate {each[at]:.3e} misses target "
+                               f"{TARGET_ABS_TOL:.3e} for s={complex(np.ravel(s)[at])}; "
+                               "raise em_terms or the order")
+    bound = float(worst) + float(rounding.max())
+    if not math.isfinite(bound):  # a finite floor vouches for every value
+        _require_finite(value, "hurwitz_zeta")
+    return value, bound
 
 
 def _power_rows(s: np.ndarray, logs: np.ndarray):
@@ -222,157 +250,128 @@ def _power_rows(s: np.ndarray, logs: np.ndarray):
     return factored
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result is judged, not warned of
 def _hurwitz_kernel(s, a, cfg: SpecFunConfig):
     """Hurwitz zeta(s, a) with each point's truncation estimate, ungated.
 
-    Arguments as for ``hurwitz_zeta_with_error``.  Returns
+    The points are s x a, one side a single value: a scalar s with a scalar
+    or 1-D a, or a 1-D s (of any size) with a scalar a.  Returns
     ``(value, each, rounding)``: the value in the shape of the array
-    argument; the first omitted Bernoulli correction times the safety
-    factor, at the smallest tail start w; and the rounding floor.  For an
-    array of s the last two are arrays over s, for a scalar s they are
-    floats.  No target is checked and a non-finite value is returned as it
-    is.  For an array of s the explicit terms (a < em_terms) come from
-    ``_power_rows``.  An array of s raises only for a pole, Re(s) <=
-    -2 EM_BERNOULLI_ORDER, an invalid a or array shape, and
-    sigma + 2M + 1 <= 0, where no estimate exists.
+    argument (a Python complex for two scalars), and, as arrays over s, the
+    first omitted Bernoulli correction times the safety factor at the
+    smallest tail start w, and the rounding floor, which scales the largest
+    |value| and so is not finite where a value is not.  No target is
+    checked.  Raises only for a pole, Re(s) <= -2 EM_BERNOULLI_ORDER, an
+    invalid a or shape, and sigma + 2M + 1 <= 0, where no estimate exists.
     """
-    batch = isinstance(s, (np.ndarray, list, tuple)) and np.ndim(s) > 0
-    if batch:
-        s = np.asarray(s, dtype=complex)
-        if s.ndim != 1 or np.ndim(a) != 0:
-            raise DomainError("an array of s needs a 1-D s and a scalar a")
-        if s.size == 1:  # the scalar arithmetic: the same bits, at a fraction of the cost
-            return tuple(np.array([v]) for v in _hurwitz_kernel(complex(s[0]), a, cfg))
-        pole, re_min = bool(np.any(s == 1)), float(s.real.min(initial=math.inf))
-    else:
-        s = complex(s)
-        pole, re_min = s == 1, s.real
-    if pole:
+    s = np.asarray(s, dtype=complex)
+    arr = np.asarray(a, dtype=float)
+    if s.ndim + arr.ndim > 1:
+        raise DomainError("hurwitz zeta takes a 1-D s and a scalar a, or a 1-D a and a scalar s")
+    shape = s.shape or arr.shape
+    s, arr = s.reshape(-1), arr.reshape(-1)
+    if (s == 1).any():
         raise PoleError("hurwitz zeta has a pole at s = 1")
+    re_min = float(s.real.min(initial=math.inf))
     if re_min <= -2.0 * EM_BERNOULLI_ORDER:
-        raise DomainError(
-            f"Re(s) = {re_min} is below the Euler-Maclaurin validity range "
-            f"Re(s) > {-2.0 * EM_BERNOULLI_ORDER}"
-        )
-    arr, back = _as_1d(a, float)
-    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"Re(s) = {re_min} is below the Euler-Maclaurin validity range "
+                          f"Re(s) > {-2.0 * EM_BERNOULLI_ORDER}")
+    amin, amax = arr.min(initial=math.inf), arr.max(initial=-math.inf)  # NaN where any a is
+    if arr.size and not (math.isfinite(amin) and math.isfinite(amax)):
         raise DomainError("a must be finite")
-    if np.any(arr <= 0.0):
-        raise DomainError(f"a must be positive, got min {arr.min()}")
-    if not (s.size if batch else arr.size):
+    if amin <= 0.0:
+        raise DomainError(f"a must be positive, got min {amin}")
+    size = s.size * arr.size
+    if not size:
         return np.zeros(0, dtype=complex), np.zeros(0), np.zeros(0)
-    top = np.maximum if batch else max
-
-    n_terms = cfg.em_terms
-    order = EM_BERNOULLI_ORDER // 2
+    n_terms, order = cfg.em_terms, EM_BERNOULLI_ORDER // 2
+    if re_min + 2 * order + 1 <= 0:
+        raise ConvergenceError("Euler-Maclaurin remainder bound unavailable: "
+                               "sigma + 2M + 1 <= 0")
+    # one s is a Python complex, its parts Python floats: the arithmetic the
+    # array formulas spell out, in microseconds (~140 us on 1-point arrays)
+    one = complex(s[0]) if s.size == 1 else None
 
     # Explicit part, only where a < em_terms: sum_{k<N} (a+k)^(-s) moves the
     # tail to w = a + N; every other point starts its tail at w = a.  Bases
-    # are positive reals, so exp(-s log(.)) with the real log has no branch
-    # ambiguity.  A point's terms fill one contiguous row, which numpy sums
-    # pairwise however many rows there are, so its bits do not depend on the
-    # array that holds it or on where the block edges fall.
-    near = np.flatnonzero(arr < n_terms)
-    w = arr.copy()
-    w[near] += n_terms
-    value = np.zeros(s.shape if batch else arr.shape, dtype=complex)
+    # are positive reals, so exp(-s log(.)) has no branch ambiguity.  A
+    # point's terms fill one contiguous row (per a for one s, per s for one
+    # a), summed pairwise whatever array or block holds it.
+    near = arr < n_terms
+    w = np.where(near, arr + n_terms, arr)
+    near = np.flatnonzero(near)
+    value = np.zeros(size, dtype=complex)
     k = np.arange(n_terms, dtype=float)
-    if not batch:
+    if one is not None:
         for lo in range(0, near.size, _HURWITZ_BLOCK):
             rows = near[lo:lo + _HURWITZ_BLOCK]
-            value[rows] = np.exp(-s * np.log(arr[rows, None] + k)).sum(axis=1)
+            value[rows] = np.exp(-one * np.log(arr[rows, None] + k)).sum(axis=1)
     elif near.size:
-        # one a for every s: the logs are shared and the rows are the s
         terms = _power_rows(s, np.log(arr + k))
-        for lo in range(0, s.size, _HURWITZ_BLOCK):
+        for lo in range(0, size, _HURWITZ_BLOCK):
             value[lo:lo + _HURWITZ_BLOCK] = terms(slice(lo, lo + _HURWITZ_BLOCK)).sum(axis=1)
 
     # Euler-Maclaurin tail from one complex power e = w^(-s) per point:
     # w^(1-s) = w e, and the Bernoulli powers w^(-s-2j+1) = e w^(1-2j) step
     # down by the real 1/w^2, so the corrections
     # sum_j B_2j/(2j)! (s)_{2j-1} w^(-s-2j+1) are e/w times a polynomial in
-    # 1/w^2, summed by Horner.  Rising factorial and factorial are updated
-    # incrementally; for an array of s they are arrays over s, multiplied
-    # by _cmul so that each keeps the bits of its scalar s.  The tail, and
-    # the truncation estimate from the first omitted term, run over blocks
-    # of _TAIL_BLOCK points of the array argument, so their dozen
-    # coefficient arrays and the temporaries of the Horner sum and the
-    # powers stay near 1 MB however long the array is.  A block's complex
-    # temporaries (64 KB) stay below the 256 KB from which numpy multiplies
-    # temporaries in place, by a loop whose last bit may differ: every
-    # product of a tail takes the loop it takes in a scalar call.
-    if re_min + 2 * order + 1 <= 0:
-        raise ConvergenceError("Euler-Maclaurin remainder bound unavailable: "
-                               "sigma + 2M + 1 <= 0")
+    # 1/w^2, summed by Horner.  The rising factorial steps by parts, by the
+    # formula of a Python complex product (s + 2j - 3 and s + 2j - 2 share
+    # the imaginary part t + 0.0), so each s of an array keeps the bits of
+    # its single call.  Blocks of _TAIL_BLOCK points keep the complex
+    # temporaries (64 KB) below the 256 KB from which numpy multiplies in
+    # place, by a loop whose last bit may differ.
     w_min = float(w.min())
-    each = np.empty(s.size) if batch else None
-    for lo in range(0, value.size, _TAIL_BLOCK):
+    each = np.empty(s.size)
+    for lo in range(0, size, _TAIL_BLOCK):
         part = slice(lo, lo + _TAIL_BLOCK)
-        sp, wp = (s[part], w) if batch else (s, w[part])
-        coef = []
-        poch = sp
-        fact = 1.0
-        for j in range(1, order + 1):
-            fact *= (2 * j) * (2 * j - 1)
-            if j > 1 and batch:
-                poch = _cmul(poch, _cmul(sp + 2 * j - 3, sp + 2 * j - 2))
-            elif j > 1:
-                poch *= (sp + 2 * j - 3) * (sp + 2 * j - 2)
-            coef.append(_BERNOULLI[2 * j] / fact * poch)
+        sp, wp = (one, w[part]) if one is not None else (s[part], w)
+        sig, t = sp.real, sp.imag + 0.0
+        re, im, tt = sig, sp.imag, t * t
+        coef = [_EM_WEIGHTS[0] * sp]
+        for j in range(2, order + 1):
+            x = sig + 2 * j
+            a, b = x - 3, x - 2
+            qr, qi = a * b - tt, a * t + t * b
+            re, im = re * qr - im * qi, re * qi + im * qr
+            coef.append(_EM_WEIGHTS[j - 1] * _complex(re, im))
+        # First omitted term, largest at the smallest w as w^(-sigma-2M-1)
+        # falls with w, with (s)_{2M+1} = (s)_{2M-1} (s + 2M - 1) (s + 2M);
+        # the one estimate of one s is written by the first block only
+        x = sig + 2 * order
+        a, b = re * (x - 1) - im * t, re * t + im * (x - 1)
+        qr, qi = a * x - b * t, a * t + b * x
+        x = x + 1  # sigma + 2M + 1, and kappa = |s + 2M + 1| / x >= 1 the safety factor
+        each[part] = abs(_EM_WEIGHTS[-1]) * _cabs(qr, qi) * (_cabs(x, t) / x) * _pow(w_min, -x)
+        del x, a, b, qr, qi, re, im, t, tt  # before the tail's temporaries
         inv_w = 1.0 / wp
         inv_w2 = inv_w * inv_w
         series = coef[-1]
         for c in reversed(coef[:-1]):
             series = series * inv_w2 + c
-        with np.errstate(over="ignore", invalid="ignore"):
-            tail = np.exp(-sp * np.log(wp)) * (wp / (sp - 1) + 0.5 + series * inv_w)
-            lost = ~np.isfinite(tail)
-            if lost.any():  # w / (s - 1) overflowed; w^(1-s) / (s - 1) may not
-                np.copyto(tail, np.exp((1 - sp) * np.log(wp)) / (sp - 1)
-                          + np.exp(-sp * np.log(wp)) * (0.5 + series * inv_w), where=lost)
+        tail = np.exp(-sp * np.log(wp)) * (wp / (sp - 1) + 0.5 + series * inv_w)
+        if not np.isfinite(tail).all():  # w / (s - 1) overflowed; w^(1-s) / (s - 1) may not
+            np.copyto(tail, np.exp((1 - sp) * np.log(wp)) / (sp - 1)
+                      + np.exp(-sp * np.log(wp)) * (0.5 + series * inv_w),
+                      where=~np.isfinite(tail))
         value[part] += tail
-
-        # First omitted term, largest at the smallest w because its power
-        # w^(-sigma-2M-1) falls with w.  It only sizes the bound, so numpy's
-        # product may change its last bit.  For a scalar s every block
-        # gives the same estimate.
-        poch_next = poch * (sp + 2 * order - 1) * (sp + 2 * order)
-        fact_next = fact * (2 * order + 2) * (2 * order + 1)
-        sigma_shift = sp.real + 2 * order + 1
-        kappa = abs(sp + 2 * order + 1) / sigma_shift  # >= 1, as |z| >= Re z
-        estimate = (abs(_BERNOULLI[2 * order + 2] / fact_next) * abs(poch_next) * kappa
-                    * w_min ** (-sigma_shift))
-        if batch:
-            each[part] = estimate
-        else:
-            each = estimate
 
     # Rounding floor: each power carries a phase error ~ eps |s| log(base)
     # scaled by the largest term magnitude (the first term at sigma >= 0,
     # the last explicit one below, or the largest |value| of the call).
-    # Unlike the truncation this is not reducible by em_terms, so it widens
-    # the reported bound but does not trip the convergence gate.  For an
-    # array of s it is taken over the same blocks, after the last value.
-    amin, amax = float(arr.min()), float(arr.max())
-    value_max = float(np.abs(value).max())
-
-    def floor(sp):
+    # Unlike the truncation it is not reducible by em_terms, so it widens
+    # the bound but does not trip the gate.  amin and amax are numpy
+    # floats, whose powers are inf where they overflow.
+    value_max = np.abs(value).max()
+    rounding = np.empty(s.size)
+    for lo in range(0, s.size, _TAIL_BLOCK):
+        sp = one if one is not None else s[lo:lo + _TAIL_BLOCK]
         sigma = sp.real
-        try:
-            peak = top(top(amin ** (-sigma), (n_terms - 1 + amax) ** (-sigma)),
-                       top((n_terms + amax) ** (1.0 - sigma) / abs(sp - 1.0), value_max))
-        except OverflowError:  # a Python float power (scalar s); numpy's is inf
-            peak = math.inf
+        peak = np.maximum(np.maximum(amin ** -sigma, (n_terms - 1 + amax) ** -sigma),
+                          np.maximum((n_terms + amax) ** (1.0 - sigma) / abs(sp - 1.0), value_max))
         phase = abs(sp) * math.log(n_terms + amax)
-        return 4.0 * np.finfo(float).eps * (1.0 + phase) * peak
-
-    if batch:
-        rounding = np.empty(s.size)
-        for lo in range(0, s.size, _TAIL_BLOCK):
-            rounding[lo:lo + _TAIL_BLOCK] = floor(s[lo:lo + _TAIL_BLOCK])
-    else:
-        rounding = floor(s)
-    return value if batch else back(value), each, rounding
+        rounding[lo:lo + _TAIL_BLOCK] = 4.0 * _EPS * (1.0 + phase) * peak
+    return value if shape else value[0].item(), each, rounding
 
 
 def hurwitz_zeta(s: complex, a, cfg: SpecFunConfig = DEFAULT_SPECFUN):

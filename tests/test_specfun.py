@@ -114,6 +114,14 @@ def test_hurwitz_vectorized_matches_scalar():
     assert vec.shape == row.shape
     for i, si in enumerate(row):
         assert vec[i] == hurwitz_zeta(complex(si), 1.0) == riemann_zeta(complex(si))
+    # so does each point's truncation estimate, which the scan flags and
+    # hardy_z's gate judge: on the row and on a critical-line grid (the
+    # rounding floor is taken over the whole call, and left out)
+    cfg = specfun.DEFAULT_SPECFUN
+    for points in (row, 0.5 + 1j * np.linspace(0.0119, 100.0, 2001)):
+        each = specfun._hurwitz_kernel(points, 1.0, cfg)[1]
+        assert each.tobytes() == np.hstack(
+            [specfun._hurwitz_kernel(complex(si), 1.0, cfg)[1] for si in points]).tobytes()
     # 20000 points is past the 256 KB at which numpy multiplies temporaries
     # in place, with a loop whose complex product may differ in the last bit
     # from the small-array one; checked where the tail terms weigh most
@@ -228,14 +236,17 @@ def test_hurwitz_empty_arrays_give_empty_results():
 
 
 def test_hurwitz_one_point_array_takes_the_scalar_arithmetic(monkeypatch):
-    # no array product (_cmul) for one s, and the scalar call's bits; the
-    # kernel still answers in arrays, and still refuses a pole and a bad a
-    calls = []
-    cmul = specfun._cmul
-    monkeypatch.setattr(specfun, "_cmul", lambda x, y: calls.append(1) or cmul(x, y))
+    # one s takes its coefficients and estimate in Python floats, never in
+    # arrays (the by-parts helpers see no ndarray), and keeps the scalar
+    # call's bits; the kernel still answers in arrays, and still refuses a
+    # pole and a bad a
+    operands = []
+    for name in ("_complex", "_cabs"):
+        helper = getattr(specfun, name)
+        monkeypatch.setattr(specfun, name, lambda x, y, f=helper: operands.extend((x, y)) or f(x, y))
     s = 0.5 + 14.1347j
     one = hurwitz_zeta(np.array([s]), 1.0)
-    assert calls == []
+    assert operands and not any(isinstance(x, np.ndarray) for x in operands)
     assert one.shape == (1,) and one.tobytes() == np.array([hurwitz_zeta(s, 1.0)]).tobytes()
     value, each, rounding = specfun._hurwitz_kernel(np.array([s]), 1.0, specfun.DEFAULT_SPECFUN)
     assert value.shape == each.shape == rounding.shape == (1,)
@@ -255,11 +266,17 @@ def test_hurwitz_rejects_pole_and_bad_a():
     for a in (math.inf, math.nan, np.array([1.0, math.inf])):
         with pytest.raises(DomainError, match="a must be finite"):
             hurwitz_zeta(2.0, a)
-    # an array of s takes one scalar a, and a 1-D s
+    # an array of s, of one point too, takes one scalar a, and a 1-D s;
+    # a scalar s takes a scalar or 1-D a, with or without explicit terms
     for s, a in ((np.array([2.0, 3.0]), np.array([1.0, 2.0])),
-                 (np.array([[2.0, 3.0]]), 1.0)):
+                 (np.array([2.0]), np.array([1.0])),
+                 (np.array([[2.0, 3.0]]), 1.0),
+                 (0.5 + 1j, np.ones((2, 2))),
+                 (0.5 + 1j, np.full((2, 3), 60.0))):
         with pytest.raises(DomainError, match="1-D s and a scalar a"):
-            hurwitz_zeta(s, a)
+            hurwitz_zeta_with_error(s, a)
+    with pytest.raises(DomainError, match="1-D s and a scalar a"):
+        frac_power(np.full((2, 3), 0.5), 0.5 + 14j)
 
 
 def test_hurwitz_error_bound_and_em_terms_self_consistency():
