@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -68,7 +69,7 @@ def parse_complex(text: str) -> complex:
 
 
 def format_complex(z: complex) -> str:
-    sign = "+" if z.imag >= 0 else "-"
+    sign = "-" if math.copysign(1.0, z.imag) < 0 else "+"
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
@@ -84,9 +85,8 @@ _ROWS_BLOCK = 512
 
 class _Rows:
     """A list of flat dicts held as columns: the str keys (plain names
-    without "%"), and one 1-D numpy array per key, of floats, of bools or
-    of str objects.  Iterating gives the row dicts, of Python values, made
-    _ROWS_BLOCK rows at a time."""
+    without "%"), and one 1-D numpy array per key, of floats, of bools, of
+    ints or of str objects."""
 
     def __init__(self, keys, columns) -> None:
         self.keys, self.columns = tuple(keys), list(columns)
@@ -94,32 +94,38 @@ class _Rows:
     def __len__(self) -> int:
         return len(self.columns[0])
 
-    def __iter__(self):
+    def lines(self, sep: str):
+        """Each row's fields through _render, joined by sep, made _ROWS_BLOCK
+        rows at a time; with sep "," (CSV) a bool is written 0/1."""
+        cols = [c.view(np.uint8) if sep == "," and c.dtype == bool else c for c in self.columns]
         for lo in range(0, len(self), _ROWS_BLOCK):
-            block = (c[lo:lo + _ROWS_BLOCK].tolist() for c in self.columns)
-            yield from (dict(zip(self.keys, row)) for row in zip(*block))
+            yield from map(sep.join, zip(*(map(_render, c[lo:lo + _ROWS_BLOCK].tolist())
+                                           for c in cols)))
 
 
 def _column_text(col):
     """A function from a slice of the array col to its values' json texts.
 
-    A column of few distinct values encodes each value once: bool and str
-    columns always, and float columns where fewer than half the values
-    differ (such as the scan's grid coordinates).  Floats are told apart by
-    their bits, which keep 0.0, -0.0 and NaN apart where == does not.  A
-    float column whose values mostly differ is one encoder call per slice,
-    so that its texts are never held all at once.
+    A column of few distinct values encodes each value once: bool, int and
+    str columns always, and float columns of more than one block where
+    fewer than half the values differ (such as the scan's grid
+    coordinates).  Floats are told apart by their bits, which keep 0.0,
+    -0.0 and NaN apart where == does not.  Any other float column is one
+    encoder call per slice, so that its texts are never held all at once.
+    A short column skips np.unique, whose first call adds ~0.6 MB of RSS.
     """
     if col.dtype.kind == "f":
-        distinct, at = np.unique(col.view(np.int64), return_inverse=True)
-        if 2 * distinct.size < col.size:
-            texts = np.array(_numbers_text(distinct.view(float).tolist()), dtype=object)
-            return lambda part: texts[at[part]].tolist()
+        if col.size > _ROWS_BLOCK:
+            distinct, at = np.unique(col.view(np.int64), return_inverse=True)
+            if 2 * distinct.size < col.size:
+                texts = np.array(_numbers_text(distinct.view(float).tolist()), dtype=object)
+                return lambda part: texts[at[part]].tolist()
         return lambda part: _numbers_text(col[part].tolist())
     values = col.tolist()
-    if not set(map(type, values)) <= {str, bool}:
-        raise TypeError("a row column holds neither floats nor only str and bool values")
-    # equal values of these types have equal texts
+    kinds = set(map(type, values))
+    if len(kinds) > 1 or not kinds <= {str, bool, int}:
+        raise TypeError("a row column holds neither floats nor one type of str, bool and int")
+    # equal values of one of these types have equal texts (True == 1 would not)
     code = {v: _encode_leaf(v) for v in set(values)}
     return lambda part: map(code.__getitem__, values[part])
 
@@ -130,7 +136,7 @@ def _numbers_text(values):
 
 
 def _rows_parts(rows: _Rows, texts: list, pad: str):
-    """The text of json.dumps(list(rows), indent=2), one piece per block of
+    """The text of json.dumps of the rows' dicts, indent=2, one piece per block of
     _ROWS_BLOCK rows, from the _column_text of each column.
 
     A block is one flat list of every row's separators and value texts,
@@ -276,14 +282,11 @@ def _configs(args):
             SpecFunConfig(**pick("em_terms")))
 
 
-def _write_csv(path: str, columns, rows) -> None:
-    # booleans are written as 0/1, so that every field reads back as a number
+def _write_csv(path: str, rows: _Rows) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_render(int(v) if isinstance(v, bool) else v)
-                                  for v in (row[c] for c in columns)) + "\n")
+            fh.write(",".join(rows.keys) + "\n")
+            fh.writelines(line + "\n" for line in rows.lines(","))
     except OSError as exc:
         raise DomainError(f"cannot write CSV: {exc}") from exc
 
@@ -349,7 +352,8 @@ def _cmd_verify(args, cfgs, diagnostics):
     op_cfg = op_cfg._replace(sum_cfg=op_cfg.sum_cfg._replace(strict=False))
     from .verify import run_suite
     checks = run_suite(args.suite, args.seed, op_cfg, spec_cfg)
-    rows = [c._asdict() for c in checks]
+    rows = _Rows(checks[0]._fields, [
+        np.array(col, dtype=object if isinstance(col[0], str) else None) for col in zip(*checks)])
     failed = [c.name for c in checks if not c.passed]
     for name in failed:
         diagnostics.append({"level": "error", "message": f"property failed: {name}"})
@@ -364,13 +368,13 @@ def _cmd_zeros(args, cfgs, diagnostics):
     zeros = find_critical_zeros(args.t_min, args.t_max, spec_cfg)
     cols = eigen_columns(zeros, op_cfg, spec_cfg, args.numeric_residual)
     cols.update(lambda_re=cols["lam"].real, lambda_im=cols["lam"].imag)
-    rows = [dict(zip(ZEROS_CSV_COLUMNS, (z.index, z.t, z.residual, *z.bracket, *rest)))
-            for z, rest in zip(zeros, zip(*(cols[k].tolist() for k in ZEROS_CSV_COLUMNS[5:])))]
+    index, *found = np.reshape([(z.index, z.t, z.residual, *z.bracket) for z in zeros], (-1, 5)).T
+    rows = _Rows(ZEROS_CSV_COLUMNS, [index.astype(int), *found, *map(cols.get, ZEROS_CSV_COLUMNS[5:])])
     inputs = {"t_min": args.t_min, "t_max": args.t_max,
               "numeric_residual": bool(args.numeric_residual)}
     results = {"n_zeros": len(zeros), "zeros": rows}
     if args.csv:
-        _write_csv(args.csv, ZEROS_CSV_COLUMNS, rows)
+        _write_csv(args.csv, rows)
         results["csv"] = args.csv
     return inputs, results, EXIT_OK
 
@@ -389,7 +393,7 @@ def _cmd_scan(args, cfgs, diagnostics):
               "n_re": args.n_re, "n_im": args.n_im}
     results = {"n_cells": n_cells, "n_error": n_error, "cells": rows}
     if args.csv:
-        _write_csv(args.csv, SCAN_CSV_COLUMNS, rows)
+        _write_csv(args.csv, rows)
         results["csv"] = args.csv
     if n_error > 0.1 * n_cells:
         diagnostics.append({"level": "error",
@@ -456,17 +460,12 @@ def _render(val) -> str:
 
 def _render_results(results: dict, indent: str) -> None:
     for key, val in results.items():
-        if isinstance(val, _Rows):  # its rows are made a block at a time
-            cols = val.keys
-        elif isinstance(val, list) and val and isinstance(val[0], dict):
-            cols = list(val[0].keys())
-        else:
-            print(f"{indent}result  {key} = {_render(val)}")
-            continue
-        print(f"{indent}{key}:")
-        print(f"{indent}  " + " | ".join(cols))
-        for row in val:
-            print(f"{indent}  " + " | ".join(_render(row[c]) for c in cols))
+        if isinstance(val, _Rows) and len(val):
+            print(f"{indent}{key}:\n{indent}  " + " | ".join(val.keys))
+            for line in val.lines(" | "):
+                print(f"{indent}  {line}")
+        else:  # an empty table prints as the empty list
+            print(f"{indent}result  {key} = {_render([] if isinstance(val, _Rows) else val)}")
 
 
 def _join_complex_values(argv: list[str]) -> list[str]:

@@ -53,8 +53,10 @@ def run_table(capsys, *argv):
     ("-0-0i", complex(-0.0, -0.0)),
 ])
 def test_parse_complex(text, expect):
-    # repr tells the signs of zeros apart, which == does not
+    # repr tells the signs of zeros apart, which == does not; the table's
+    # spelling of a complex parses back to it, signed zeros included
     assert repr(parse_complex(text)) == repr(expect)
+    assert repr(parse_complex(cli.format_complex(expect))) == repr(expect)
 
 
 def test_parse_complex_rejects_garbage():
@@ -528,6 +530,24 @@ def test_table_golden_zeros_rows(capsys):
     )
 
 
+def test_table_golden_empty_zeros(capsys, tmp_path):
+    # no zero below 10: the table prints the empty list, the CSV only its header
+    csv = tmp_path / "zeros.csv"
+    code, out = run_table(capsys, "zeros", "0", "10", "--csv", str(csv))
+    assert code == 0
+    assert out == (
+        "fracsum zeros  (schema 1)\n"
+        "  input   t_min = 0.0\n"
+        "  input   t_max = 10.0\n"
+        "  input   numeric_residual = False\n"
+        "  result  n_zeros = 0\n"
+        "  result  zeros = []\n"
+        f"  result  csv = {csv}\n"
+        "  timing_ms = <T>\n"
+    )
+    assert csv.read_text() == ",".join(cli.ZEROS_CSV_COLUMNS) + "\n"
+
+
 def test_table_golden_failure_record(capsys):
     code, out = run_table(capsys, "eval", "fracpow", "--x", "-2", "--s", "2+0i")
     assert code == 2
@@ -635,19 +655,26 @@ def test_json_writer_rejects_what_json_rejects(value):
 
 @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025])
 def test_json_writer_on_rows(n):
-    # the scan's column kinds: floats that all differ, floats of few values
-    # (encoded once each) with signed zeros and non-finite values, booleans,
-    # and strings; blocks that end on and off the row count
-    keys = ("x", "z", "real", "flag")
+    # the record tables' column kinds: ints, floats that all differ, floats
+    # of few values (encoded once each above one block) with signed zeros
+    # and non-finite values, booleans, and strings; blocks that end on and
+    # off the row count
+    keys = ("index", "x", "z", "real", "flag")
     floats = [0.1, -0.0, 0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324]
-    columns = [[i / 7 for i in range(n)], [floats[i % 8] for i in range(n)],
-               [i % 3 == 0 for i in range(n)],
+    columns = [list(range(1, n + 1)), [i / 7 for i in range(n)],
+               [floats[i % 8] for i in range(n)], [i % 3 == 0 for i in range(n)],
                [("ok", "pole", "error:ConvergenceError")[i % 3] for i in range(n)]]
     rows = cli._Rows(keys, [np.array(col, dtype=kind) for col, kind in
-                            zip(columns, (float, float, bool, object))])
+                            zip(columns, (int, float, float, bool, object))])
     assert len(rows) == n
     table = [dict(zip(keys, row)) for row in zip(*columns)]
-    assert repr(list(rows)) == repr(table)  # repr: NaN fields, and -0.0 apart from 0.0
+    # the table and CSV lines against each row's fields through _render, a
+    # CSV bool as 0/1; the texts keep NaN, and -0.0 apart from 0.0
+    assert list(rows.lines(" | ")) == [" | ".join(map(cli._render, row))
+                                       for row in zip(*columns)]
+    assert list(rows.lines(",")) == [
+        ",".join(cli._render(int(v) if isinstance(v, bool) else v) for v in row)
+        for row in zip(*columns)]
     assert to_json(rows) == json.dumps(table, indent=2)
     assert to_json({"cells": rows}) == json.dumps({"cells": table}, indent=2)
     # a table two levels deep beside complex values, and two in one value
@@ -664,8 +691,10 @@ def test_json_writer_refuses_a_string_equal_to_its_mark():
 
 
 def test_json_writer_refuses_a_row_column_mixing_str():
-    with pytest.raises(TypeError):
-        to_json(cli._Rows(("flag",), [np.array(["ok", 1.0], dtype=object)]))
+    # True == 1 and both hash alike, so a column mixing them would share a text
+    for values in (["ok", 1.0], [True, 1]):
+        with pytest.raises(TypeError):
+            to_json(cli._Rows(("flag",), [np.array(values, dtype=object)]))
 
 
 @pytest.mark.parametrize("results", [
@@ -711,8 +740,7 @@ def test_large_scan_record_is_written_a_block_at_a_time(monkeypatch, tmp_path):
     assert stdout.n > 3e7
     assert peak < 0.5 * stdout.n
     csv = tmp_path / "scan.csv"
-    _, peak = traced_peak(lambda: cli._write_csv(str(csv), cli.SCAN_CSV_COLUMNS,
-                                                 record["results"]["cells"]))
+    _, peak = traced_peak(lambda: cli._write_csv(str(csv), record["results"]["cells"]))
     assert peak < 0.25 * csv.stat().st_size
 
 
