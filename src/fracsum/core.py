@@ -82,7 +82,8 @@ _TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
 
 
-# Stays a dataclass: perfbench/tracer.py rewraps one with dataclasses.replace(fn, eval=...)
+# Stays a dataclass: perfbench/tracer.py rewraps one with dataclasses.replace(fn, eval=...),
+# which carries ``difference`` along with the other fields
 @dataclass(frozen=True)
 class EvalFn:
     """A complex-valued function on (domain_lo, inf).
@@ -93,13 +94,18 @@ class EvalFn:
     ``eval`` sees a one-point array and the caller gets its element back.
     ``analytic_derivative``, when present, takes the same arrays and is
     held to the testable contract of matching Richardson-improved central
-    differences (step 3e-4) to 1e-6 at interior points.
+    differences (step 3e-4) to 1e-6 at interior points.  ``difference``,
+    when present, is the EvalFn (Delta f)(x) = f(x) - f(x-1) on
+    (domain_lo + 1, inf), which ``forward_difference`` returns; it is held
+    to the testable contract of matching that numeric difference at
+    interior points to 256 ulps of max(1, |f(x)|, |f(x-1)|, |Delta f(x)|).
     """
 
     domain_lo: float
     eval: Callable
     analytic_derivative: Optional[Callable] = None
     label: str = ""
+    difference: Optional[EvalFn] = None
 
     def _at(self, fn: Callable, x, what: str):
         x = np.asarray(x, dtype=float)
@@ -208,8 +214,11 @@ def _difference(f: EvalFn, h: float, name: str) -> EvalFn:
 
 
 def forward_difference(f: EvalFn) -> EvalFn:
-    """(Delta f)(x) = f(x) - f(x-1); maps U-functions to U+-functions."""
-    return _difference(f, 1.0, "Delta")
+    """(Delta f)(x) = f(x) - f(x-1); maps U-functions to U+-functions.
+
+    The function's own ``difference`` when it carries one, else the two
+    values subtracted."""
+    return _difference(f, 1.0, "Delta") if f.difference is None else f.difference
 
 
 def half_difference(f: EvalFn) -> EvalFn:
@@ -545,10 +554,13 @@ def frac_power_derivative(x, s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN):
 
 
 def frac_power_fn(s: complex, cfg: SpecFunConfig = DEFAULT_SPECFUN) -> EvalFn:
-    """x^[-s] wrapped as an EvalFn on (-1, inf) with its analytic derivative."""
+    """x^[-s] wrapped as an EvalFn on (-1, inf) with its analytic derivative
+    and its difference Delta x^[-s] = x^(-s), the fractional sum's defining
+    recursion (Mueller & Schleicher, J. Comput. Appl. Math. 178, 2005)."""
     s = _finite_s(s, "frac_power_fn", -1.0)
     return EvalFn(-1.0, lambda x: frac_power(x, s, cfg),
-                  lambda x: frac_power_derivative(x, s, cfg), label=f"x^[-({s})]")
+                  lambda x: frac_power_derivative(x, s, cfg), label=f"x^[-({s})]",
+                  difference=power_fn(s))
 
 
 def sum_log_with_error(x):

@@ -11,6 +11,9 @@ when the function carries one and Richardson-improved finite differences
 otherwise.  X f carries an analytic derivative whenever f does: the
 derivative of its summation limit, taken under the limit.  So p X f never
 differences a summation limit, and R needs no special configuration.
+Delta takes a function's own difference rule when it carries one, and p
+passes the rule on; x^[-s] carries Delta x^[-s] = x^(-s), so the summands
+of R x^[-s] are elementary powers.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ def apply_x_mult(f: EvalFn) -> EvalFn:
 def apply_p(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
     """p f = -i f'; analytic derivative when present, else finite differences.
 
+    On the analytic path p f carries p applied to f's difference rule, when
+    f has one, since Delta p = p Delta.
+
     Numeric path: central stencil of step cfg.diff_step, Richardson-improved
     with the half step; within 2h of the left boundary a second-order
     one-sided stencil is used so no evaluation leaves the domain.  An
@@ -46,7 +52,8 @@ def apply_p(f: EvalFn, cfg: OperatorConfig = DEFAULT_OPERATOR) -> EvalFn:
     """
     if f.analytic_derivative is not None:
         return EvalFn(f.domain_lo, lambda x: -1j * f.analytic_derivative(x),
-                      label=f"p[{f.label}]")
+                      label=f"p[{f.label}]",
+                      difference=None if f.difference is None else apply_p(f.difference, cfg))
 
     h = cfg.diff_step
 

@@ -22,6 +22,7 @@ from .core import (
     FLAT,
     NOT_FLAT,
     EvalFn,
+    _difference,
     const_fn,
     flatness_probe,
     forward_difference,
@@ -183,16 +184,19 @@ def operator_suite(seed: int = 0,
     out.append(_check("x_operator_vanishes_at_zero", 1e-300, lambda: abs(
         complex(apply_X(frac_power_fn(1.3, spec_cfg), op_cfg)(0.0)))))
 
-    # Delta X f = x Delta f.
+    # Delta X f = x Delta f.  X f sums f's difference rule, so the right
+    # side differences f numerically: a wrong rule cannot check itself.
     xs = np.array([0.5, 1.5, 3.5])
     out.append(_check("difference_commutes_through_x_sum", 1e-6, lambda: _sup(
-        [forward_difference(apply_X(f, op_cfg))(xs) - xs * forward_difference(f)(xs)
+        [forward_difference(apply_X(f, op_cfg))(xs) - xs * _difference(f, 1.0, "Delta")(xs)
          for f in (frac_power_fn(s, spec_cfg) for s in (0.7, 1.3, 0.5 + 2j))])))
 
-    # Delta p f = p Delta f on functions defined on all of (-1, inf).
+    # Delta p f = p Delta f on functions defined on all of (-1, inf); the
+    # right side takes f's rule, the left side differences p f numerically.
     xs = np.array([0.5, 1.25, 2.75])
     out.append(_check("difference_commutes_with_derivative", 1e-6, lambda: _sup(
-        [forward_difference(apply_p(f, op_cfg))(xs) - apply_p(forward_difference(f), op_cfg)(xs)
+        [_difference(apply_p(f, op_cfg), 1.0, "Delta")(xs)
+         - apply_p(forward_difference(f), op_cfg)(xs)
          for f in (frac_power_fn(0.8, spec_cfg), sin_2pi_fn())])))
 
     # Numeric differentiation against the analytic derivative.  The point

@@ -121,7 +121,9 @@ def test_eval_sumlog_err_estimate_holds_the_rounding(capsys, x):
 def test_kernel_calls_per_command(capsys, monkeypatch):
     # eval fracpow takes x^[-s] and its bound from one Hurwitz kernel call
     # per a; the zeros record takes its columns in one array pass at a = 1/2,
-    # with zeta(s) from the zero search's own call
+    # with zeta(s) from the zero search's own call; the numeric R sums
+    # powers, so its calls are its closed form's: zeta(s) and x^[-s] on the
+    # sample grid, 2 per zero
     calls = []
     kernel = specfun._hurwitz_kernel
 
@@ -131,7 +133,9 @@ def test_kernel_calls_per_command(capsys, monkeypatch):
 
     monkeypatch.setattr(specfun, "_hurwitz_kernel", counting)
     for argv, want in ((("eval", "fracpow", "--x", "0.5", "--s", "0.5+14i"), 2),
-                       (("zeros", "0", "100"), 8)):
+                       (("zeros", "0", "100"), 8),
+                       (("verify", "all", "--seed", "0"), 77),
+                       (("zeros", "0", "100", "--numeric-residual"), 66)):
         specfun._riemann_zeta_cached.cache_clear()
         calls.clear()
         code, _ = run_json(capsys, *argv)

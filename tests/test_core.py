@@ -107,8 +107,9 @@ def test_evalfn_passes_eval_a_1d_array():
 
 def test_evalfn_is_rewrapped_by_dataclasses_replace():
     # the benchmark's tracer wraps a function's map with
-    # dataclasses.replace(fn, eval=...); the copy keeps every other field
-    f = power_fn(0.5)
+    # dataclasses.replace(fn, eval=...); the copy keeps every other field,
+    # the difference rule too
+    f = frac_power_fn(0.5)
     seen = []
 
     def traced(x):
@@ -117,8 +118,9 @@ def test_evalfn_is_rewrapped_by_dataclasses_replace():
 
     g = dataclasses.replace(f, eval=traced)
     xs = np.array([0.5, 2.0, 7.25])
-    assert (g.domain_lo, g.analytic_derivative, g.label) == \
-        (f.domain_lo, f.analytic_derivative, f.label)
+    assert (g.domain_lo, g.analytic_derivative, g.label, g.difference) == \
+        (f.domain_lo, f.analytic_derivative, f.label, f.difference)
+    assert forward_difference(g) is f.difference
     assert g(xs).tobytes() == f(xs).tobytes()
     assert g.derivative(xs).tobytes() == f.derivative(xs).tobytes()
     assert seen == [3]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,9 +12,11 @@ from fracsum import (
     frac_power,
     frac_power_derivative,
     frac_power_fn,
+    linear_combination,
     riemann_zeta,
 )
 from fracsum import verify
+from fracsum.config import DEFAULT_SPECFUN
 from fracsum.operators import DEFAULT_OPERATOR
 from fracsum.verify import operator_suite, run_suite
 
@@ -76,6 +79,23 @@ def test_operator_suite_uses_spec_cfg():
 
     assert measure(operator_suite(0, DEFAULT_OPERATOR, cfg)) == direct
     assert measure(operator_suite(0)) != direct
+
+
+def test_a_wrong_difference_rule_fails_the_checks_of_delta(monkeypatch):
+    # x^[-s] with a rule 1e-4 too large: each check of Delta keeps a
+    # numeric difference on the side without the rule, so the rule cannot
+    # check itself (the measures read 187, 279 and 1.8e4 times their tolerances)
+    def rule_too_large(s, cfg=DEFAULT_SPECFUN):
+        f = frac_power_fn(s, cfg)
+        return dataclasses.replace(
+            f, difference=linear_combination([(1.0 + 1e-4, f.difference)]))
+
+    monkeypatch.setattr(verify, "frac_power_fn", rule_too_large)
+    failed = {c.name: c.measure / c.tolerance for c in operator_suite(0) if not c.passed}
+    assert set(failed) == {"difference_commutes_through_x_sum",
+                           "difference_commutes_with_derivative",
+                           "numeric_R_matches_closed_form"}
+    assert min(failed.values()) > 100.0, failed
 
 
 @pytest.mark.parametrize("x, s", [(-0.5, 0.2 + 5j), (-0.5, 2.4 - 5j), (2.806, 0.263 - 3.081j)])
